@@ -116,13 +116,24 @@ func (c NetworkConfig) Normalized() (NetworkConfig, error) {
 	return n, nil
 }
 
-// Validate resolves and checks the config without building a network.
-func (c NetworkConfig) Validate() error {
+// Resolve normalizes and checks the config and reports its domain
+// count: Normalized, Validate and DomainCount in one pass.
+func (c NetworkConfig) Resolve() (NetworkConfig, int, error) {
 	n, err := c.Normalized()
 	if err != nil {
-		return err
+		return NetworkConfig{}, 0, err
 	}
-	return networkRegistry[n.Kind].Validate(&n)
+	d := networkRegistry[n.Kind]
+	if err := d.Validate(&n); err != nil {
+		return NetworkConfig{}, 0, err
+	}
+	return n, d.Domains(&n), nil
+}
+
+// Validate resolves and checks the config without building a network.
+func (c NetworkConfig) Validate() error {
+	_, _, err := c.Resolve()
+	return err
 }
 
 // DomainCount returns the resolved config's domain count (zero for an
@@ -138,18 +149,14 @@ func (c NetworkConfig) DomainCount() int {
 // BuildNetwork resolves, validates, and constructs the configured
 // network at the DC steady state for per-domain draws i0.
 func BuildNetwork(c NetworkConfig, i0 []float64) (Network, error) {
-	n, err := c.Normalized()
+	n, nd, err := c.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	d := networkRegistry[n.Kind]
-	if err := d.Validate(&n); err != nil {
-		return nil, err
+	if len(i0) != nd {
+		return nil, fmt.Errorf("circuit: network %q has %d domains, got %d initial currents", n.Kind, nd, len(i0))
 	}
-	if want := d.Domains(&n); len(i0) != want {
-		return nil, fmt.Errorf("circuit: network %q has %d domains, got %d initial currents", n.Kind, want, len(i0))
-	}
-	return d.Build(&n, i0), nil
+	return networkRegistry[n.Kind].Build(&n, i0), nil
 }
 
 func init() {

@@ -2,10 +2,10 @@ package engine
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/engine/batchkernel"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // MachineKey returns the content key of the technique-independent half
@@ -61,10 +61,11 @@ func packGroups(specs []Spec, indices []int) []laneGroup {
 // runGroup executes one multi-lane group through the lockstep kernel —
 // diverging lanes resume on forked machines inside the kernel, and only
 // lanes whose machine could not be forked re-run on the scalar path —
-// and reports every spec through finish exactly once. Lanes that cannot
-// even be built fall back to scalar execution for a properly attributed
-// error. report receives the kernel's divergence and power-memoization
-// counters (scalar runs report memo traffic only).
+// and reports every spec through finish exactly once. Each lane is
+// prepared exactly as Execute prepares a spec, so a lane that cannot be
+// built fails with Execute's error. report receives the kernel's
+// divergence and power-memoization counters (scalar runs report memo
+// traffic only).
 func runGroup(ctx context.Context, specs []Spec, g laneGroup, finish func(i int, res sim.Result, err error), report func(batchkernel.Stats)) {
 	scalar := func(indices []int) {
 		for _, i := range indices {
@@ -72,7 +73,7 @@ func runGroup(ctx context.Context, specs []Spec, g laneGroup, finish func(i int,
 				finish(i, sim.Result{}, err)
 				continue
 			}
-			res, st, err := executeMeasured(specs[i])
+			res, st, err := executeSafe(specs[i])
 			report(batchkernel.Stats{PowerMemo: st})
 			finish(i, res, err)
 		}
@@ -82,61 +83,33 @@ func runGroup(ctx context.Context, specs []Spec, g laneGroup, finish func(i int,
 		return
 	}
 
-	// Build the shared machine from the first lane's normalized spec;
-	// every lane in the group resolves to the same machine by MachineKey
-	// equality.
-	n0, _, err := specs[g.indices[0]].normalized()
-	if err != nil {
-		scalar(g.indices)
-		return
-	}
-	params := workload.Params{}
-	if n0.Workload != nil {
-		params = *n0.Workload
-		if err := params.Validate(); err != nil {
-			scalar(g.indices)
-			return
-		}
-	} else {
-		app, err := workload.ByName(n0.App)
-		if err != nil {
-			scalar(g.indices)
-			return
-		}
-		params = app.Params
-	}
+	// Every lane in the group resolves to the same machine by MachineKey
+	// equality; the first lane that prepares supplies it.
+	var first prepared
 	lanes := make([]batchkernel.Lane, 0, len(g.indices))
 	laneIdx := make([]int, 0, len(g.indices))
 	for _, i := range g.indices {
-		ni, desc, err := specs[i].normalized()
+		p, err := prepare(specs[i])
 		if err != nil {
 			finish(i, sim.Result{}, err)
 			continue
 		}
-		tech, _, err := buildTechnique(&ni, desc)
-		if err != nil {
-			finish(i, sim.Result{}, err)
-			continue
+		if len(lanes) == 0 {
+			first = p
 		}
-		name := string(TechniqueNone)
-		if tech != nil {
-			name = tech.Name()
-		}
-		lanes = append(lanes, batchkernel.Lane{Tech: tech, TechName: name})
+		lanes = append(lanes, batchkernel.Lane{Tech: p.tech, TechName: p.techName()})
 		laneIdx = append(laneIdx, i)
 	}
 	if len(lanes) == 0 {
 		return
 	}
-	src := workload.SharedTraces().Source(params, n0.Instructions)
-	m, err := sim.NewMachine(*n0.System, src)
+	outcomes, stats, err := runLanes(first, lanes)
 	if err != nil {
-		// The machine config is invalid: the scalar path produces the
-		// same, properly attributed error per lane.
-		scalar(laneIdx)
+		for _, i := range laneIdx {
+			finish(i, sim.Result{}, err)
+		}
 		return
 	}
-	outcomes, stats := batchkernel.Run(m, n0.App, lanes)
 	report(stats)
 	var rerun []int
 	for li, out := range outcomes {
@@ -150,4 +123,22 @@ func runGroup(ctx context.Context, specs []Spec, g laneGroup, finish func(i int,
 		}
 	}
 	scalar(rerun)
+}
+
+// runLanes builds a group's shared machine and steps its lanes through
+// the lockstep kernel. A panic while building or stepping the machine —
+// which every lane shares — fails the whole group with an error, as
+// executeSafe does for a scalar run, instead of unwinding the worker.
+func runLanes(p prepared, lanes []batchkernel.Lane) (out []batchkernel.Outcome, st batchkernel.Stats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("simulation panic: %v", r)
+		}
+	}()
+	m, err := sim.NewMachine(*p.n.System, p.source())
+	if err != nil {
+		return nil, batchkernel.Stats{}, err
+	}
+	out, st = batchkernel.Run(m, p.n.App, lanes)
+	return out, st, nil
 }

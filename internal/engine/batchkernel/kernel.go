@@ -125,7 +125,7 @@ func (l *Lane) observe(obs *sim.Observation) (err error) {
 		l.Tech.Observe(obs)
 	}
 	if l.Trace != nil {
-		tp := sim.TracePoint{Cycle: obs.Cycle, TotalAmps: obs.TotalAmps, DeviationVolts: obs.DeviationVolts}
+		tp := sim.TracePoint{Cycle: obs.Cycle, TotalAmps: obs.TotalAmps, DeviationVolts: obs.DeviationVolts, Violation: obs.Violation}
 		if l.EventCount != nil {
 			tp.EventCount = l.EventCount()
 		}

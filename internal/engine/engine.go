@@ -207,7 +207,7 @@ func executeSafe(spec Spec) (res sim.Result, st power.MemoStats, err error) {
 			err = fmt.Errorf("simulation panic: %v", r)
 		}
 	}()
-	return executeMeasured(spec)
+	return executeMeasured(spec, nil)
 }
 
 // addMemoStats folds one simulation's power-memoization counters into

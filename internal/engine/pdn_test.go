@@ -172,3 +172,83 @@ func TestNetworkRegistryCompleteness(t *testing.T) {
 			registrations, len(kinds), kinds)
 	}
 }
+
+// TestValidateAgreesWithExecute: over every way of describing a network
+// — the legacy Supply and TwoStageSupply fields and the PDN section,
+// lumped and two-domain — Spec.Validate rejects exactly the specs
+// Execute rejects, with the same error.
+func TestValidateAgreesWithExecute(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs small simulations")
+	}
+	legacy := func(edit func(c *sim.Config)) *sim.Config {
+		c := sim.DefaultConfig()
+		edit(&c)
+		return &c
+	}
+	twoStage := func(edit func(p *circuit.TwoStageParams)) func(c *sim.Config) {
+		return func(c *sim.Config) {
+			p := circuit.Table1TwoStage()
+			edit(&p)
+			c.TwoStageSupply = &p
+		}
+	}
+	lumpedPDN := func(edit func(p *circuit.Params), sensorDomain int) *sim.Config {
+		c := sim.DefaultConfig()
+		c.Supply = circuit.Params{}
+		p := circuit.Table1()
+		edit(&p)
+		c.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkLumped, Lumped: &p}
+		c.SensorDomain = sensorDomain
+		return &c
+	}
+	twoDomain := func(edit func(p *circuit.MultiDomainParams), sensorDomain int) *sim.Config {
+		c := sim.DefaultConfig()
+		p := circuit.Table1TwoDomain()
+		edit(&p)
+		c.PDN = &circuit.NetworkConfig{Kind: circuit.NetworkMultiDomain, MultiDomain: &p}
+		c.SensorDomain = sensorDomain
+		return &c
+	}
+	keep := func(*circuit.Params) {}
+	keepMD := func(*circuit.MultiDomainParams) {}
+	cases := []struct {
+		name  string
+		sys   *sim.Config
+		valid bool
+	}{
+		{"lumped-legacy", legacy(func(*sim.Config) {}), true},
+		{"lumped-legacy sensor domain 1", legacy(func(c *sim.Config) { c.SensorDomain = 1 }), true},
+		{"lumped-legacy negative L", legacy(func(c *sim.Config) { c.Supply.L = -1 }), false},
+		{"lumped-legacy sensor domain 3", legacy(func(c *sim.Config) { c.SensorDomain = 3 }), false},
+		{"twostage-legacy", legacy(twoStage(func(*circuit.TwoStageParams) {})), true},
+		{"twostage-legacy zero L1", legacy(twoStage(func(p *circuit.TwoStageParams) { p.L1 = 0 })), false},
+		{"twostage-legacy sensor domain 2", legacy(func(c *sim.Config) {
+			twoStage(func(*circuit.TwoStageParams) {})(c)
+			c.SensorDomain = 2
+		}), false},
+		{"lumped-PDN", lumpedPDN(keep, 0), true},
+		{"lumped-PDN negative L", lumpedPDN(func(p *circuit.Params) { p.L = -1 }, 0), false},
+		{"lumped-PDN sensor domain 3", lumpedPDN(keep, 3), false},
+		{"two-domain PDN", twoDomain(keepMD, 0), true},
+		{"two-domain PDN rail sensor", twoDomain(keepMD, 2), true},
+		{"two-domain PDN sensor domain 3", twoDomain(keepMD, 3), false},
+		{"two-domain PDN zero package L", twoDomain(func(p *circuit.MultiDomainParams) { p.Lpkg = 0 }, 0), false},
+		{"two-domain PDN unknown unit", twoDomain(func(p *circuit.MultiDomainParams) {
+			p.Domains[1].PowerUnits = append([]string{"warp-core"}, p.Domains[1].PowerUnits...)
+		}, 0), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{App: "swim", Instructions: 2_000, System: tc.sys}
+			verr := spec.Validate()
+			_, xerr := Execute(spec)
+			if (verr == nil) != tc.valid {
+				t.Errorf("Validate = %v, want valid=%v", verr, tc.valid)
+			}
+			if (verr == nil) != (xerr == nil) || (verr != nil && verr.Error() != xerr.Error()) {
+				t.Errorf("Validate = %v, Execute = %v: they must agree", verr, xerr)
+			}
+		})
+	}
+}

@@ -306,11 +306,7 @@ func init() {
 			n.DomainTuning = &dt
 		},
 		Validate: func(n *Spec) error {
-			nd := 1
-			if n.System.PDN != nil {
-				nd = n.System.PDN.DomainCount()
-			}
-			if len(n.DomainTuning.Domains) != nd {
+			if nd := n.System.Network().DomainCount(); len(n.DomainTuning.Domains) != nd {
 				return fmt.Errorf("engine: domain-tuning has %d controller configs for a %d-domain network", len(n.DomainTuning.Domains), nd)
 			}
 			for d := range n.DomainTuning.Domains {
@@ -353,16 +349,13 @@ func convolutionSupply(sys *sim.Config) circuit.Params {
 const DefaultDualBandDecimation = 25
 
 // dualBandSupply picks the two-stage network dual-band defaults derive
-// from: the spec's own TwoStageSupply when it is present and usable, the
-// Table 1 two-stage extension otherwise. (The fallback keeps default
-// resolution — and therefore Key — total even over junk systems.)
+// from: the spec's own network (sim.Config.Network) when it is a usable
+// two-stage one, the Table 1 two-stage extension otherwise. (The
+// fallback keeps default resolution — and therefore Key — total even
+// over junk systems.)
 func dualBandSupply(sys *sim.Config) circuit.TwoStageParams {
-	if sys != nil && sys.TwoStageSupply != nil && sys.TwoStageSupply.Validate() == nil {
-		return *sys.TwoStageSupply
-	}
-	if sys != nil && sys.PDN != nil && sys.PDN.Kind == circuit.NetworkTwoStage &&
-		sys.PDN.TwoStage != nil && sys.PDN.TwoStage.Validate() == nil {
-		return *sys.PDN.TwoStage
+	if net := sys.Network(); net.Kind == circuit.NetworkTwoStage && net.TwoStage != nil && net.TwoStage.Validate() == nil {
+		return *net.TwoStage
 	}
 	return circuit.Table1TwoStage()
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/baselines/voltctl"
 	"repro/internal/baselines/wavelet"
 	"repro/internal/circuit"
+	"repro/internal/cpu"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/tuning"
@@ -275,40 +276,44 @@ func (s Spec) normalized() (Spec, *Descriptor, error) {
 
 // Validate resolves the spec through the registry's Normalize path and
 // checks everything Execute would reject before simulating — unknown
-// technique kind, unusable technique section, unknown application, bad
-// synthetic-workload parameters, unusable system configuration — without
-// constructing a simulator. It is what a serving front-end runs on an
-// incoming spec so configuration mistakes surface as client errors
+// technique kind, unknown application, bad synthetic-workload parameters,
+// an unusable system (sim.Config.Validate: core, power envelope, the
+// resolved network, sensor domain), an unusable technique section —
+// without constructing a simulator. It is what a serving front-end runs
+// on an incoming spec so configuration mistakes surface as client errors
 // rather than failed runs.
 func (s Spec) Validate() error {
 	n, desc, err := s.normalized()
 	if err != nil {
 		return err
 	}
-	if n.Workload != nil {
-		if err := n.Workload.Validate(); err != nil {
-			return err
-		}
-	} else if _, err := workload.ByName(n.App); err != nil {
+	if _, err := n.workloadParams(); err != nil {
 		return err
 	}
-	if n.System.PDN != nil {
-		if err := n.System.PDN.Validate(); err != nil {
-			return err
-		}
-		if nd := n.System.PDN.DomainCount(); n.System.SensorDomain < 0 || n.System.SensorDomain > nd {
-			return fmt.Errorf("engine: sensor domain %d out of range for a %d-domain network", n.System.SensorDomain, nd)
-		}
+	return n.validateBuild(desc)
+}
+
+// workloadParams resolves a normalized spec's instruction stream: the
+// explicit synthetic parameters, or the named Table 2 application's.
+func (n *Spec) workloadParams() (workload.Params, error) {
+	if n.Workload != nil {
+		return *n.Workload, n.Workload.Validate()
+	}
+	app, err := workload.ByName(n.App)
+	return app.Params, err
+}
+
+// validateBuild checks what building a normalized spec's simulation
+// depends on: the system (sim.Config.Validate) and the technique
+// section.
+func (n *Spec) validateBuild(desc *Descriptor) error {
+	if err := n.System.Validate(); err != nil {
+		return err
 	}
 	if desc.Validate != nil {
-		if err := desc.Validate(&n); err != nil {
-			return err
-		}
+		return desc.Validate(n)
 	}
-	if err := n.System.CPU.Validate(); err != nil {
-		return err
-	}
-	return n.System.Power.Validate()
+	return nil
 }
 
 // Execute builds and runs the simulation described by spec on the
@@ -317,81 +322,97 @@ func (s Spec) Validate() error {
 // (see registry.go) validates the resolved configuration and constructs
 // the adapter.
 func Execute(spec Spec) (sim.Result, error) {
-	res, _, err := executeMeasured(spec)
+	return Inspect(spec, nil)
+}
+
+// Inspect runs spec exactly as Execute does — uncached, on the calling
+// goroutine — and, when inspect is non-nil, hands it the finished
+// simulator before returning the result. It serves views that need the
+// machine or technique instance rather than the Result alone (energy
+// breakdowns, per-domain statistics) without a construction path of
+// their own.
+func Inspect(spec Spec, inspect func(*sim.Simulator)) (sim.Result, error) {
+	res, _, err := executeMeasured(spec, inspect)
 	return res, err
 }
 
-// executeMeasured is Execute plus the run's power-memoization counters,
-// which the engine aggregates into its CacheStats.
-func executeMeasured(spec Spec) (sim.Result, power.MemoStats, error) {
+// prepared is a spec resolved down to what its simulation is built from.
+type prepared struct {
+	n      Spec // normalized
+	params workload.Params
+	tech   sim.Technique
+	hooks  TraceHooks
+}
+
+// prepare normalizes and validates spec and constructs its technique;
+// Execute and the batch path's lanes both start here.
+func prepare(spec Spec) (prepared, error) {
 	n, desc, err := spec.normalized()
 	if err != nil {
-		return sim.Result{}, power.MemoStats{}, err
+		return prepared{}, err
 	}
-	params := workload.Params{}
-	if n.Workload != nil {
-		params = *n.Workload
-		if err := params.Validate(); err != nil {
-			return sim.Result{}, power.MemoStats{}, err
-		}
-	} else {
-		app, err := workload.ByName(n.App)
-		if err != nil {
-			return sim.Result{}, power.MemoStats{}, err
-		}
-		params = app.Params
+	params, err := n.workloadParams()
+	if err != nil {
+		return prepared{}, err
 	}
 	tech, hooks, err := buildTechnique(&n, desc)
 	if err != nil {
+		return prepared{}, err
+	}
+	return prepared{n: n, params: params, tech: tech, hooks: hooks}, nil
+}
+
+// source returns the instruction stream from the shared trace store: the
+// app's stream is materialized once per process and replayed through a
+// slice cursor (bit-identical to live generation; streams too large for
+// the store's budget fall back to a live Generator).
+func (p *prepared) source() cpu.Source {
+	return workload.SharedTraces().Source(p.params, p.n.Instructions)
+}
+
+// techName labels a run's Result with its technique.
+func (p *prepared) techName() string {
+	if p.tech == nil {
+		return string(TechniqueNone)
+	}
+	return p.tech.Name()
+}
+
+// executeMeasured is Inspect plus the run's power-memoization counters,
+// which the engine aggregates into its CacheStats.
+func executeMeasured(spec Spec, inspect func(*sim.Simulator)) (sim.Result, power.MemoStats, error) {
+	p, err := prepare(spec)
+	if err != nil {
 		return sim.Result{}, power.MemoStats{}, err
 	}
-	cfg := *n.System
-
-	// The instruction stream comes from the shared trace store: the
-	// app's stream is materialized once per process and replayed through
-	// a slice cursor here (bit-identical to live generation; streams too
-	// large for the store's budget fall back to a live Generator).
-	src := workload.SharedTraces().Source(params, n.Instructions)
-	s, err := sim.New(cfg, src, tech)
+	s, err := sim.New(*p.n.System, p.source(), p.tech)
 	if err != nil {
 		return sim.Result{}, power.MemoStats{}, err
 	}
 	if spec.Trace != nil {
-		s.SetTrace(spec.Trace, hooks.EventCount, hooks.Level)
+		s.SetTrace(spec.Trace, p.hooks.EventCount, p.hooks.Level)
 	}
-	name := string(TechniqueNone)
-	if tech != nil {
-		name = tech.Name()
+	res := s.Run(p.n.App, p.techName())
+	if inspect != nil {
+		inspect(s)
 	}
-	return s.Run(n.App, name), s.Power().MemoStats(), nil
+	return res, s.Power().MemoStats(), nil
 }
 
-// buildTechnique validates a normalized spec's technique section and
-// constructs the adapter with the build-time envelope read off the power
-// model. tech is nil for TechniqueNone.
+// buildTechnique validates a normalized spec's system and technique
+// section — the constructors panic on unusable configurations, so a bad
+// grid point surfaces as an error naming it — and constructs the adapter
+// with the build-time envelope read off the power model. tech is nil for
+// TechniqueNone.
 func buildTechnique(n *Spec, desc *Descriptor) (sim.Technique, TraceHooks, error) {
-	// The technique constructors panic on unusable configurations;
-	// validate here so a bad grid point surfaces as an error naming it.
-	if desc.Validate != nil {
-		if err := desc.Validate(n); err != nil {
-			return nil, TraceHooks{}, err
-		}
-	}
-	// Techniques that depend on the electrical envelope (phantom-fire
-	// current, mid level) read it straight off the power model; validate
-	// the inputs first because power.New panics on bad configurations.
-	if err := n.System.CPU.Validate(); err != nil {
+	if err := n.validateBuild(desc); err != nil {
 		return nil, TraceHooks{}, err
 	}
-	if err := n.System.Power.Validate(); err != nil {
-		return nil, TraceHooks{}, err
-	}
-	pwr := power.New(n.System.Power, n.System.CPU)
-	env := Env{MidAmps: pwr.MidAmps(), PhantomFireAmps: pwr.PhantomFireAmps()}
 	if desc.Build == nil {
 		return nil, TraceHooks{}, nil
 	}
-	tech, hooks := desc.Build(n, env)
+	pwr := power.New(n.System.Power, n.System.CPU)
+	tech, hooks := desc.Build(n, Env{MidAmps: pwr.MidAmps(), PhantomFireAmps: pwr.PhantomFireAmps()})
 	return tech, hooks, nil
 }
 

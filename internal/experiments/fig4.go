@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/engine"
@@ -69,10 +68,9 @@ func Fig4(opts Options) (Report, error) {
 		return Report{}, err
 	}
 
-	margin := cfg.Supply.NoiseMarginVolts()
 	vi := -1
 	for i := 2000; i < len(trace); i++ {
-		if math.Abs(trace[i].DeviationVolts) > margin {
+		if trace[i].Violation {
 			vi = i
 			break
 		}

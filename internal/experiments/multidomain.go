@@ -176,14 +176,11 @@ func MultiDomain(opts Options) (Report, error) {
 	// uncontrolled run's per-rail violation split and the tuned run's
 	// per-controller detection counts, proving each domain detects and
 	// responds on its own rail.
-	cfg := sim.DefaultConfig()
-	cfg.PDN = &netCfg
-	baseStats, _, err := runMultiDirect(cfg, app, opts.instructions(), nil)
+	baseStats, _, err := domainDetail(rows[1].spec)
 	if err != nil {
 		return Report{}, err
 	}
-	tech := sim.NewPerDomainTuning(domCfgs)
-	tunedStats, ctrlStats, err := runMultiDirect(cfg, app, opts.instructions(), tech)
+	tunedStats, ctrlStats, err := domainDetail(rows[2].spec)
 	if err != nil {
 		return Report{}, err
 	}
@@ -225,22 +222,17 @@ func MultiDomain(opts Options) (Report, error) {
 	return Report{ID: "multidomain", Text: b.String(), Data: data}, nil
 }
 
-// runMultiDirect runs one multi-domain configuration outside the engine
-// cache and returns the machine's per-domain statistics, plus the
-// per-domain controller statistics when tech is non-nil.
-func runMultiDirect(cfg sim.Config, app workload.Params, insts uint64, tech *sim.PerDomainTuning) ([]sim.DomainStat, []tuning.Stats, error) {
-	var t sim.Technique
-	if tech != nil {
-		t = tech
-	}
-	s, err := sim.New(cfg, workload.SharedTraces().Source(app, insts), t)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.Run(app.Name, "multidomain-direct")
+// domainDetail re-runs spec uncached and returns the machine's
+// per-domain statistics, plus the per-domain controller statistics when
+// the spec runs domain tuning.
+func domainDetail(spec engine.Spec) ([]sim.DomainStat, []tuning.Stats, error) {
+	var dom []sim.DomainStat
 	var ctrl []tuning.Stats
-	if tech != nil {
-		ctrl = tech.DomainStats()
-	}
-	return s.Machine().DomainStats(), ctrl, nil
+	_, err := engine.Inspect(spec, func(s *sim.Simulator) {
+		dom = s.Machine().DomainStats()
+		if t, ok := s.Technique().(*sim.PerDomainTuning); ok {
+			ctrl = t.DomainStats()
+		}
+	})
+	return dom, ctrl, err
 }

@@ -237,6 +237,17 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 // JSON bodies naming the problem, never half-streamed batches.
 func TestRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxSpecs: 2})
+	// badSystem is a grid whose second spec runs the Table 1 system with
+	// one edit that machine construction would reject.
+	badSystem := func(edit func(c *sim.Config)) string {
+		c := sim.DefaultConfig()
+		edit(&c)
+		body, err := json.Marshal(RunRequest{Specs: []SpecRequest{{App: "swim"}, {App: "swim", System: &c}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
 	cases := []struct {
 		name string
 		body string
@@ -251,6 +262,13 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown network kind", `{"spec":{"app":"swim","pdn":{"Kind":"mesh"}}}`, http.StatusBadRequest, "registered kinds"},
 		{"sensor domain out of range", `{"spec":{"app":"swim","pdn":{"Kind":"multidomain"},"system":{"SensorDomain":7}}}`, http.StatusBadRequest, "sensor domain"},
 		{"unknown app in grid", `{"specs":[{"app":"swim"},{"app":"no-such-app"}]}`, http.StatusBadRequest, "spec 1"},
+		{"negative supply R", badSystem(func(c *sim.Config) { c.Supply.R = -1 }), http.StatusBadRequest, "spec 1"},
+		{"bad two-stage supply", badSystem(func(c *sim.Config) {
+			p := circuit.Table1TwoStage()
+			p.L1 = 0
+			c.TwoStageSupply = &p
+		}), http.StatusBadRequest, "spec 1"},
+		{"sensor domain beyond a lumped network", badSystem(func(c *sim.Config) { c.SensorDomain = 3 }), http.StatusBadRequest, "sensor domain"},
 		{"grid over limit", `{"specs":[{"app":"swim"},{"app":"lucas"},{"app":"art"}]}`, http.StatusRequestEntityTooLarge, "2-spec limit"},
 	}
 	for _, tc := range cases {
@@ -288,15 +306,28 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// badSupplySystem builds a system that passes Spec.Validate (CPU and
-// power are fine) but fails machine construction: a non-positive supply
-// resistance is only caught at runtime. This is the class of error the
-// NDJSON terminal line exists for.
-func badSupplySystem() *sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.Supply.R = -1
-	return &cfg
+// faultyNetwork is a network kind registered only in this test binary.
+// It validates, so a spec selecting it passes Spec.Validate, but its
+// constructor panics once the simulation builds the machine: the class
+// of error — raised mid-execution, after upfront validation — the
+// NDJSON terminal line exists for. An unusable system is not in that
+// class: Spec.Validate rejects everything machine construction would.
+const faultyNetwork = "faulty-test-network"
+
+func init() {
+	circuit.RegisterNetwork(circuit.NetworkDescriptor{
+		Kind:      faultyNetwork,
+		Clear:     func(*circuit.NetworkConfig) {},
+		Normalize: func(*circuit.NetworkConfig) {},
+		Validate:  func(*circuit.NetworkConfig) error { return nil },
+		Domains:   func(*circuit.NetworkConfig) int { return 1 },
+		Build: func(*circuit.NetworkConfig, []float64) circuit.Network {
+			panic("circuit: injected network construction fault")
+		},
+	})
 }
+
+func faultyPDN() *circuit.NetworkConfig { return &circuit.NetworkConfig{Kind: faultyNetwork} }
 
 // TestRuntimeErrorsStreamAsErrorLines: errors that survive upfront
 // validation surface inside the NDJSON stream, not as HTTP errors.
@@ -304,7 +335,7 @@ func TestRuntimeErrorsStreamAsErrorLines(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 
 	// Single spec: the line carries the key and the error.
-	body, err := json.Marshal(RunRequest{Spec: &SpecRequest{App: "swim", Instructions: 30_000, System: badSupplySystem()}})
+	body, err := json.Marshal(RunRequest{Spec: &SpecRequest{App: "swim", Instructions: 30_000, PDN: faultyPDN()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,10 +352,13 @@ func TestRuntimeErrorsStreamAsErrorLines(t *testing.T) {
 	}
 
 	// Grid: the batch aborts and the stream ends with a terminal error
-	// line; any lines before it are well-formed results.
+	// line; any lines before it are well-formed results. The two faulty
+	// specs share a machine, so the failure also arrives through a
+	// lockstep group, not only a scalar run.
 	body, err = json.Marshal(RunRequest{Specs: []SpecRequest{
 		{App: "swim", Instructions: 30_000},
-		{App: "swim", Instructions: 30_000, System: badSupplySystem()},
+		{App: "swim", Instructions: 30_000, PDN: faultyPDN()},
+		{App: "swim", Instructions: 30_000, PDN: faultyPDN(), Technique: string(engine.TechniqueTuning)},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -354,9 +388,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	eng := engine.New(engine.Options{Parallelism: 2})
 	_, ts := newTestServer(t, Options{Engine: eng})
 
-	postRun(t, ts.URL, `{"spec":{"app":"swim","instructions":30000}}`)
-	postRun(t, ts.URL, `{"spec":{"app":"swim","instructions":30000}}`) // warm repeat
-	postRun(t, ts.URL, `{"bogus":`)                                    // a 400
+	// The server records a request after its handler returns, so read
+	// each response to EOF before scraping.
+	for _, body := range []string{
+		`{"spec":{"app":"swim","instructions":30000}}`,
+		`{"spec":{"app":"swim","instructions":30000}}`, // warm repeat
+		`{"bogus":`, // a 400
+	} {
+		if _, err := io.Copy(io.Discard, postRun(t, ts.URL, body).Body); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

@@ -29,31 +29,33 @@ type Machine struct {
 	sens *sensor.Current
 
 	classAmps [cpu.NumClasses]float64
-	// margin caches the supply's noise margin so the per-cycle violation
-	// check is a compare, not an interface call; resolution caches the
-	// sensor quantisation step for the undelayed fast path (sens is only
-	// instantiated when a reading delay makes real history necessary).
-	margin     float64
+	// resolution caches the sensor quantisation step for the undelayed
+	// fast path (sens is only instantiated when a reading delay makes real
+	// history necessary).
 	resolution float64
 
-	// draws and devs are the per-domain buffers handed to net.Step; on a
-	// single-domain machine they have length one and the legacy scalar
-	// arithmetic flows through them unchanged.
-	draws []float64
-	devs  []float64
+	// Per-domain state, one entry per supply domain of the PDN (nd of
+	// them; a lumped or two-stage network is the nd = 1 case). draws and
+	// devs are the buffers handed to net.Step, domJ receives a
+	// multi-domain power model's per-domain cycle energies, domShare
+	// splits phantom current across domains (1 on a single domain), and
+	// margins holds each domain's noise margin.
+	nd         int
+	draws      []float64
+	devs       []float64
+	domJ       []float64
+	domShare   []float64
+	margins    []float64
+	domViol    []uint64
+	domPeak    []float64
+	domSumAmps []float64
 
-	// Multi-domain state, populated only when the PDN exposes more than
-	// one domain (nd > 1).
-	nd           int
+	// Multi-domain sensing, populated only when nd > 1: the per-rail
+	// sensor bank, the rail SensedAmps reports, and the buffers behind
+	// obs.PerDomain.
 	sensorDomain int
-	domJ         []float64 // per-domain cycle energies from StepDomains
-	domShare     []float64 // per-domain phantom split weights
-	margins      []float64 // per-domain noise margins
 	bank         *sensor.Bank
-	domObs       DomainObservation // reused buffers behind obs.PerDomain
-	domViol      []uint64
-	domPeak      []float64
-	domSumAmps   []float64
+	domObs       DomainObservation
 
 	act cpu.Activity // per-cycle activity buffer, reused to avoid copies
 	obs Observation  // per-cycle observation buffer, reused likewise
@@ -70,21 +72,8 @@ type Machine struct {
 // NewMachine builds the simulated system for the given configuration and
 // instruction source.
 func NewMachine(cfg Config, src cpu.Source) (*Machine, error) {
-	if err := cfg.CPU.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if err := cfg.Power.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if cfg.PDN == nil {
-		if err := cfg.Supply.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		if cfg.TwoStageSupply != nil {
-			if err := cfg.TwoStageSupply.Validate(); err != nil {
-				return nil, fmt.Errorf("sim: %w", err)
-			}
-		}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	pwr := power.New(cfg.Power, cfg.CPU)
 	core := cpu.New(cfg.CPU, src)
@@ -118,55 +107,26 @@ func NewMachine(cfg Config, src cpu.Source) (*Machine, error) {
 	return m, nil
 }
 
-// buildNetwork constructs the machine's PDN. Without a Config.PDN the
-// legacy Supply/TwoStageSupply fields pick the scalar simulator, wrapped
-// as a one-domain Network whose Step performs the identical arithmetic.
-// With one, the network registry resolves the kind; a multi-domain kind
-// additionally splits the power model per-domain (from the domains'
-// PowerUnits lists) and instantiates per-rail sensors.
+// buildNetwork constructs the machine's PDN from the configuration's
+// resolved network (Config.Network) through the network registry. A
+// multi-domain network additionally splits the power model per domain
+// (from the domains' PowerUnits lists) and instantiates per-rail sensors.
 func (m *Machine) buildNetwork() error {
-	cfg := m.cfg
-	if cfg.PDN == nil {
-		if cfg.TwoStageSupply != nil {
-			m.net = circuit.WrapTwoStage(circuit.NewTwoStageSimulator(*cfg.TwoStageSupply, m.pwr.IdleAmps()))
-			m.margin = cfg.TwoStageSupply.NoiseMarginVolts()
-		} else {
-			m.net = circuit.WrapSimulator(circuit.NewSimulator(cfg.Supply, m.pwr.IdleAmps()))
-			m.margin = cfg.Supply.NoiseMarginVolts()
-		}
-		m.nd = 1
-		m.draws = make([]float64, 1)
-		m.devs = make([]float64, 1)
-		return nil
-	}
-
-	ncfg, err := cfg.PDN.Normalized()
+	ncfg, nd, err := m.cfg.Network().Resolve()
 	if err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if err := ncfg.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	nd := ncfg.DomainCount()
-	if cfg.SensorDomain < 0 || cfg.SensorDomain > nd {
-		return fmt.Errorf("sim: sensor domain %d out of range for a %d-domain PDN", cfg.SensorDomain, nd)
-	}
-	i0 := make([]float64, nd)
+	i0 := []float64{m.pwr.IdleAmps()}
 	if nd > 1 {
-		lists := make([][]string, nd)
-		for d, dp := range ncfg.MultiDomain.Domains {
-			lists[d] = dp.PowerUnits
-		}
-		assign, err := power.AssignmentFromNames(lists)
+		assign, err := domainAssignment(ncfg.MultiDomain)
 		if err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
 		m.pwr.EnableDomains(nd, assign)
+		i0 = make([]float64, nd)
 		for d := range i0 {
 			i0[d] = m.pwr.DomainIdleAmps(d)
 		}
-	} else {
-		i0[0] = m.pwr.IdleAmps()
 	}
 	net, err := circuit.BuildNetwork(ncfg, i0)
 	if err != nil {
@@ -174,27 +134,29 @@ func (m *Machine) buildNetwork() error {
 	}
 	m.net = net
 	m.nd = nd
-	m.margin = net.DomainInfo(0).NoiseMarginVolts
 	m.draws = make([]float64, nd)
 	m.devs = make([]float64, nd)
-	if nd > 1 {
-		m.sensorDomain = cfg.SensorDomain
-		m.domJ = make([]float64, nd)
-		m.domShare = make([]float64, nd)
-		m.margins = make([]float64, nd)
-		for d := 0; d < nd; d++ {
+	m.domJ = make([]float64, nd)
+	m.domShare = make([]float64, nd)
+	m.margins = make([]float64, nd)
+	m.domViol = make([]uint64, nd)
+	m.domPeak = make([]float64, nd)
+	m.domSumAmps = make([]float64, nd)
+	for d := 0; d < nd; d++ {
+		m.domShare[d] = 1
+		if nd > 1 {
 			m.domShare[d] = m.pwr.DomainShare(d)
-			m.margins[d] = net.DomainInfo(d).NoiseMarginVolts
 		}
-		m.bank = sensor.NewBank(nd, m.resolution, cfg.SensorDelayCycles)
+		m.margins[d] = net.DomainInfo(d).NoiseMarginVolts
+	}
+	if nd > 1 {
+		m.sensorDomain = m.cfg.SensorDomain
+		m.bank = sensor.NewBank(nd, m.resolution, m.cfg.SensorDelayCycles)
 		m.domObs = DomainObservation{
 			SensedAmps:     make([]float64, nd),
 			Amps:           make([]float64, nd),
 			DeviationVolts: make([]float64, nd),
 		}
-		m.domViol = make([]uint64, nd)
-		m.domPeak = make([]float64, nd)
-		m.domSumAmps = make([]float64, nd)
 	}
 	return nil
 }
@@ -209,9 +171,10 @@ func (m *Machine) buildNetwork() error {
 // (including generator RNG state), power model (spreading ring, memo,
 // accumulators), supply circuit, sensor history, and the machine's own
 // statistics counters — so the two machines share nothing written after
-// the fork. The batch kernel uses this to resume diverged lanes from
-// their observed prefix instead of re-running them from cycle zero;
-// FuzzMachineFork and the kernel differential harness pin the contract.
+// the fork (domShare and margins are read-only after construction). The
+// batch kernel uses this to resume diverged lanes from their observed
+// prefix instead of re-running them from cycle zero; FuzzMachineFork and
+// the kernel differential harness pin the contract.
 //
 // Fork fails when the instruction source cannot be forked (a source not
 // implementing cpu.ForkableSource); callers fall back to a scalar
@@ -228,22 +191,14 @@ func (m *Machine) Fork() (*Machine, error) {
 	if m.sens != nil {
 		f.sens = m.sens.Fork()
 	}
-	f.draws = append([]float64(nil), m.draws...)
-	f.devs = append([]float64(nil), m.devs...)
-	if m.nd > 1 {
-		f.domJ = append([]float64(nil), m.domJ...)
-		f.domShare = append([]float64(nil), m.domShare...)
-		f.margins = append([]float64(nil), m.margins...)
+	if m.bank != nil {
 		f.bank = m.bank.Fork()
-		f.domObs = DomainObservation{
-			SensedAmps:     append([]float64(nil), m.domObs.SensedAmps...),
-			Amps:           append([]float64(nil), m.domObs.Amps...),
-			DeviationVolts: append([]float64(nil), m.domObs.DeviationVolts...),
-		}
-		f.domViol = append([]uint64(nil), m.domViol...)
-		f.domPeak = append([]float64(nil), m.domPeak...)
-		f.domSumAmps = append([]float64(nil), m.domSumAmps...)
 	}
+	for _, buf := range []*[]float64{&f.draws, &f.devs, &f.domJ, &f.domPeak, &f.domSumAmps,
+		&f.domObs.SensedAmps, &f.domObs.Amps, &f.domObs.DeviationVolts} {
+		*buf = append([]float64(nil), *buf...)
+	}
+	f.domViol = append([]uint64(nil), m.domViol...)
 	// The observation buffer's Activity and PerDomain pointers must aim
 	// at the clone's own buffers, not the original's.
 	if f.obs.Activity != nil {
@@ -286,96 +241,31 @@ func (m *Machine) CycleLimit() uint64 {
 // pointer aims at a buffer Step reuses every cycle: read it before the
 // next Step, copy it to retain it.
 //
-// On a single-domain machine every operation below happens in the same
-// order as the pre-Network loop (net.Step forwards to the identical
-// scalar arithmetic), so results are bit-identical to it; multi-domain
-// machines take stepMulti.
-func (m *Machine) Step(throttle cpu.Throttle, ph Phantom) *Observation {
-	if m.nd > 1 {
-		return m.stepMulti(throttle, ph)
-	}
-	act := &m.act
-	m.core.StepInto(throttle, act)
-	coreJ := m.pwr.Step(act, 0)
-	coreAmps := m.pwr.CurrentAmps(coreJ)
-
-	phantomAmps := 0.0
-	switch {
-	case ph.TargetAmps > 0 && coreAmps < ph.TargetAmps:
-		phantomAmps = ph.TargetAmps - coreAmps
-	case ph.FireAmps > 0:
-		phantomAmps = ph.FireAmps
-	}
-	if phantomAmps > 0 {
-		m.phantomJ += phantomAmps * m.cfg.Power.Vdd / m.cfg.Power.ClockHz
-	}
-	totalAmps := coreAmps + phantomAmps
-
-	m.draws[0] = totalAmps
-	m.net.Step(m.draws, m.devs)
-	dev := m.devs[0]
-	a := dev
-	if a < 0 {
-		a = -a
-	}
-	if a > m.peakDev {
-		m.peakDev = a
-	}
-	if a > m.margin {
-		m.violation++
-	}
-
-	est := 0.0
-	for cl := cpu.Class(0); cl < cpu.NumClasses; cl++ {
-		if n := act.Issued[cl]; n > 0 {
-			est += float64(n) * m.classAmps[cl]
-		}
-	}
-	var sensed float64
-	switch {
-	case m.sens != nil:
-		sensed = m.sens.Read(totalAmps)
-	case m.resolution > 0:
-		// Same quantisation arithmetic as sensor.Current.Read, inlined
-		// for the undelayed sensor the paper's evaluation uses.
-		sensed = math.Round(totalAmps/m.resolution) * m.resolution
-	default:
-		sensed = totalAmps
-	}
-
-	m.sumAmps += totalAmps
-	if totalAmps < m.minAmps {
-		m.minAmps = totalAmps
-	}
-	if totalAmps > m.maxAmps {
-		m.maxAmps = totalAmps
-	}
-	m.obs = Observation{
-		Cycle:          m.cycles,
-		SensedAmps:     sensed,
-		TotalAmps:      totalAmps,
-		DeviationVolts: dev,
-		IssuedEstAmps:  est,
-		Activity:       act,
-	}
-	m.cycles++
-	return &m.obs
-}
-
-// stepMulti is Step for machines whose PDN exposes several supply
-// domains: the power model splits the cycle's energy per domain, each
+// The power model splits the cycle's energy per supply domain, each
 // domain's draw (plus its budget-weighted share of any phantom current)
 // drives the network, and each rail is checked against its own noise
-// margin and sensed by its own sensor. The scalar Observation fields
-// keep their aggregate meanings — TotalAmps is the summed draw,
+// margin. A lumped or two-stage network is the one-domain case: the
+// memoized single-rail power step stands in for the per-domain split,
+// and the domain's draw equals the total current bit for bit (its
+// phantom share is 1). The scalar Observation fields keep their
+// aggregate meanings on every machine — TotalAmps is the summed draw,
 // DeviationVolts the worst domain's deviation, SensedAmps the aggregate
 // (or the SensorDomain rail's) reading — so domain-oblivious techniques
-// keep working; domain-aware ones read Observation.PerDomain.
-func (m *Machine) stepMulti(throttle cpu.Throttle, ph Phantom) *Observation {
+// keep working; domain-aware ones read Observation.PerDomain, which a
+// multi-domain machine fills.
+func (m *Machine) Step(throttle cpu.Throttle, ph Phantom) *Observation {
 	act := &m.act
 	m.core.StepInto(throttle, act)
-	coreJ := m.pwr.StepDomains(act, m.domJ)
-	coreAmps := m.pwr.CurrentAmps(coreJ)
+	var coreAmps float64
+	if m.nd == 1 {
+		coreAmps = m.pwr.CurrentAmps(m.pwr.Step(act, 0))
+		m.draws[0] = coreAmps
+	} else {
+		coreAmps = m.pwr.CurrentAmps(m.pwr.StepDomains(act, m.domJ))
+		for d, j := range m.domJ {
+			m.draws[d] = m.pwr.CurrentAmps(j)
+		}
+	}
 
 	phantomAmps := 0.0
 	switch {
@@ -386,19 +276,18 @@ func (m *Machine) stepMulti(throttle cpu.Throttle, ph Phantom) *Observation {
 	}
 	if phantomAmps > 0 {
 		m.phantomJ += phantomAmps * m.cfg.Power.Vdd / m.cfg.Power.ClockHz
+		for d := range m.draws {
+			m.draws[d] += phantomAmps * m.domShare[d]
+		}
 	}
 	totalAmps := coreAmps + phantomAmps
-
-	for d := 0; d < m.nd; d++ {
-		m.draws[d] = m.pwr.CurrentAmps(m.domJ[d]) + phantomAmps*m.domShare[d]
-	}
 	m.net.Step(m.draws, m.devs)
 
 	// Worst-domain deviation carries the scalar field; violations count
 	// cycles on which any domain leaves its margin, so the aggregate
-	// Result stays comparable with single-domain runs.
+	// Result stays comparable across network kinds.
 	worst, worstAbs := 0.0, -1.0
-	anyViolation := false
+	violation := false
 	for d := 0; d < m.nd; d++ {
 		dev := m.devs[d]
 		a := math.Abs(dev)
@@ -407,16 +296,17 @@ func (m *Machine) stepMulti(throttle cpu.Throttle, ph Phantom) *Observation {
 		}
 		if a > m.margins[d] {
 			m.domViol[d]++
-			anyViolation = true
+			violation = true
 		}
 		if a > worstAbs {
 			worstAbs, worst = a, dev
 		}
+		m.domSumAmps[d] += m.draws[d]
 	}
 	if worstAbs > m.peakDev {
 		m.peakDev = worstAbs
 	}
-	if anyViolation {
+	if violation {
 		m.violation++
 	}
 
@@ -426,23 +316,33 @@ func (m *Machine) stepMulti(throttle cpu.Throttle, ph Phantom) *Observation {
 			est += float64(n) * m.classAmps[cl]
 		}
 	}
-
-	for d := 0; d < m.nd; d++ {
-		m.domObs.SensedAmps[d] = m.bank.Read(d, m.draws[d])
-		m.domObs.Amps[d] = m.draws[d]
-		m.domObs.DeviationVolts[d] = m.devs[d]
-		m.domSumAmps[d] += m.draws[d]
+	m.obs = Observation{
+		Cycle:          m.cycles,
+		TotalAmps:      totalAmps,
+		DeviationVolts: worst,
+		Violation:      violation,
+		IssuedEstAmps:  est,
+		Activity:       act,
 	}
-	var sensed float64
+	if m.bank != nil {
+		for d := 0; d < m.nd; d++ {
+			m.domObs.SensedAmps[d] = m.bank.Read(d, m.draws[d])
+			m.domObs.Amps[d] = m.draws[d]
+			m.domObs.DeviationVolts[d] = m.devs[d]
+		}
+		m.obs.PerDomain = &m.domObs
+	}
 	switch {
 	case m.sensorDomain > 0:
-		sensed = m.domObs.SensedAmps[m.sensorDomain-1]
+		m.obs.SensedAmps = m.domObs.SensedAmps[m.sensorDomain-1]
 	case m.sens != nil:
-		sensed = m.sens.Read(totalAmps)
+		m.obs.SensedAmps = m.sens.Read(totalAmps)
 	case m.resolution > 0:
-		sensed = math.Round(totalAmps/m.resolution) * m.resolution
+		// Same quantisation arithmetic as sensor.Current.Read, inlined
+		// for the undelayed sensor the paper's evaluation uses.
+		m.obs.SensedAmps = math.Round(totalAmps/m.resolution) * m.resolution
 	default:
-		sensed = totalAmps
+		m.obs.SensedAmps = totalAmps
 	}
 
 	m.sumAmps += totalAmps
@@ -452,15 +352,6 @@ func (m *Machine) stepMulti(throttle cpu.Throttle, ph Phantom) *Observation {
 	if totalAmps > m.maxAmps {
 		m.maxAmps = totalAmps
 	}
-	m.obs = Observation{
-		Cycle:          m.cycles,
-		SensedAmps:     sensed,
-		TotalAmps:      totalAmps,
-		DeviationVolts: worst,
-		IssuedEstAmps:  est,
-		Activity:       act,
-		PerDomain:      &m.domObs,
-	}
 	m.cycles++
 	return &m.obs
 }
@@ -468,8 +359,8 @@ func (m *Machine) stepMulti(throttle cpu.Throttle, ph Phantom) *Observation {
 // Network exposes the machine's power-delivery network.
 func (m *Machine) Network() circuit.Network { return m.net }
 
-// Domains returns the PDN's supply-domain count (one on legacy
-// machines).
+// Domains returns the PDN's supply-domain count (one on lumped and
+// two-stage machines).
 func (m *Machine) Domains() int { return m.nd }
 
 // DomainStat summarises one supply domain's run.

@@ -5,9 +5,9 @@ import "math"
 // ViolationReport describes one noise-margin violation burst and the
 // context around it — the per-violation version of the Figure 4 analysis.
 type ViolationReport struct {
-	// StartCycle and EndCycle bound the burst (consecutive cycles whose
-	// |deviation| exceeds the margin, merged across gaps shorter than a
-	// quarter period).
+	// StartCycle and EndCycle bound the burst (consecutive cycles the
+	// machine flagged as violations, merged across gaps shorter than a
+	// tenth of the lookback).
 	StartCycle, EndCycle uint64
 	// PeakDeviationV is the largest |deviation| inside the burst.
 	PeakDeviationV float64
@@ -27,7 +27,6 @@ type ViolationReport struct {
 // Postmortem collects ViolationReports from a per-cycle trace. Install
 // its Observe as (or inside) the simulator's trace callback.
 type Postmortem struct {
-	marginV      float64
 	warningLevel int
 	lookback     int
 	mergeGap     int
@@ -45,16 +44,18 @@ type Postmortem struct {
 	reports []ViolationReport
 }
 
-// NewPostmortem returns an analyser. marginV is the violation threshold in
-// volts; warningLevel is the resonant event count treated as advance
-// warning (2 in the paper); lookback bounds how far back warnings and
-// current swings are attributed (use a few resonant periods).
-func NewPostmortem(marginV float64, warningLevel, lookback int) *Postmortem {
+// NewPostmortem returns an analyser. A cycle violates when its trace
+// point carries the machine's violation decision (TracePoint.Violation),
+// so every network kind and per-domain margin is judged exactly as
+// Result.Violations counts it. warningLevel is the resonant event count
+// treated as advance warning (2 in the paper); lookback bounds how far
+// back warnings and current swings are attributed (use a few resonant
+// periods).
+func NewPostmortem(warningLevel, lookback int) *Postmortem {
 	if lookback < 8 {
 		lookback = 8
 	}
 	return &Postmortem{
-		marginV:      marginV,
 		warningLevel: warningLevel,
 		lookback:     lookback,
 		mergeGap:     lookback / 10,
@@ -75,9 +76,8 @@ func (p *Postmortem) Observe(tp TracePoint) {
 		p.lastWarn = int64(tp.Cycle)
 	}
 
-	violating := math.Abs(tp.DeviationVolts) > p.marginV
 	switch {
-	case violating && !p.inBurst:
+	case tp.Violation && !p.inBurst:
 		// A short gap since the previous burst is the same event.
 		if len(p.reports) > 0 && int64(tp.Cycle)-p.lastViol <= int64(p.mergeGap) {
 			p.current = p.reports[len(p.reports)-1]
@@ -95,7 +95,7 @@ func (p *Postmortem) Observe(tp TracePoint) {
 		}
 		p.inBurst = true
 		fallthrough
-	case violating:
+	case tp.Violation:
 		p.current.EndCycle = tp.Cycle
 		if a := math.Abs(tp.DeviationVolts); a > p.current.PeakDeviationV {
 			p.current.PeakDeviationV = a

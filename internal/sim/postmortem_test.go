@@ -9,7 +9,7 @@ import (
 func TestPostmortemSyntheticBursts(t *testing.T) {
 	// Lookback 100: the warning at cycle 110 covers the burst at 150
 	// (lead 40) but not the burst at 300 (190 cycles later).
-	pm := NewPostmortem(0.05, 2, 100)
+	pm := NewPostmortem(2, 100)
 	// Quiet, warning at cycle 100, violation burst 150-160, quiet,
 	// then an unwarned burst at 300.
 	for c := uint64(0); c < 500; c++ {
@@ -19,10 +19,12 @@ func TestPostmortemSyntheticBursts(t *testing.T) {
 		}
 		if c >= 150 && c <= 160 {
 			tp.DeviationVolts = 0.06
+			tp.Violation = true
 			tp.ResponseLevel = 1
 		}
 		if c >= 300 && c <= 305 {
 			tp.DeviationVolts = -0.07
+			tp.Violation = true
 		}
 		pm.Observe(tp)
 	}
@@ -58,13 +60,14 @@ func TestPostmortemSyntheticBursts(t *testing.T) {
 }
 
 func TestPostmortemMergesCloseBursts(t *testing.T) {
-	pm := NewPostmortem(0.05, 2, 400)
+	pm := NewPostmortem(2, 400)
 	for c := uint64(0); c < 300; c++ {
 		tp := TracePoint{Cycle: c, TotalAmps: 70}
 		// Two violating stretches separated by a 5-cycle gap (below
 		// the merge gap of lookback/10 = 40).
 		if (c >= 100 && c <= 110) || (c >= 116 && c <= 125) {
 			tp.DeviationVolts = 0.055
+			tp.Violation = true
 		}
 		pm.Observe(tp)
 	}
@@ -78,9 +81,9 @@ func TestPostmortemMergesCloseBursts(t *testing.T) {
 }
 
 func TestPostmortemOpenBurstIncluded(t *testing.T) {
-	pm := NewPostmortem(0.05, 2, 100)
+	pm := NewPostmortem(2, 100)
 	for c := uint64(0); c < 50; c++ {
-		pm.Observe(TracePoint{Cycle: c, DeviationVolts: 0.09})
+		pm.Observe(TracePoint{Cycle: c, DeviationVolts: 0.09, Violation: true})
 	}
 	reps := pm.Reports()
 	if len(reps) != 1 || reps[0].EndCycle != 49 {
@@ -103,7 +106,7 @@ func TestPostmortemOnRealRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm := NewPostmortem(cfg.Supply.NoiseMarginVolts(), 2, 500)
+	pm := NewPostmortem(2, 500)
 	s.SetTrace(pm.Observe, tech.EventCount, tech.Level)
 	res := s.Run("lucas", tech.Name())
 
@@ -136,7 +139,7 @@ func TestPostmortemOnRealRun(t *testing.T) {
 }
 
 func TestPostmortemLookbackClamp(t *testing.T) {
-	pm := NewPostmortem(0.05, 2, 1)
+	pm := NewPostmortem(2, 1)
 	for c := uint64(0); c < 20; c++ {
 		pm.Observe(TracePoint{Cycle: c, TotalAmps: float64(60 + c)})
 	}

@@ -14,6 +14,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"repro/internal/circuit"
 	"repro/internal/cpu"
 	"repro/internal/power"
@@ -41,6 +43,9 @@ type Observation struct {
 	TotalAmps float64
 	// DeviationVolts is the true supply deviation (IR drop removed).
 	DeviationVolts float64
+	// Violation reports whether any supply domain left its noise margin
+	// this cycle — the decision Result.Violations counts.
+	Violation bool
 	// IssuedEstAmps is the summed a-priori current estimate of the
 	// instructions issued this cycle (what damping accounts).
 	IssuedEstAmps float64
@@ -108,11 +113,64 @@ type Config struct {
 	// SensorDomain selects which supply domain the scalar SensedAmps
 	// observation reports on a multi-domain PDN: zero (the default) is
 	// the aggregate core current, d ≥ 1 is domain d-1's rail sensor.
-	// Ignored on single-domain machines.
+	// It must not exceed the network's domain count; a single-domain
+	// machine otherwise ignores it.
 	SensorDomain int
 	// MaxCycles bounds the simulation; zero means a generous default
 	// derived from the instruction stream (guards against livelock).
 	MaxCycles uint64
+}
+
+// Network resolves the configuration's power-delivery network — the one
+// description every consumer builds and validates from: PDN when set,
+// else TwoStageSupply as the two-stage network, else Supply as the lumped
+// RLC.
+func (c Config) Network() circuit.NetworkConfig {
+	switch {
+	case c.PDN != nil:
+		return *c.PDN
+	case c.TwoStageSupply != nil:
+		p := *c.TwoStageSupply
+		return circuit.NetworkConfig{Kind: circuit.NetworkTwoStage, TwoStage: &p}
+	}
+	p := c.Supply
+	return circuit.NetworkConfig{Kind: circuit.NetworkLumped, Lumped: &p}
+}
+
+// Validate checks everything NewMachine would reject: the resolved
+// network (including a multi-domain network's unit-to-domain
+// assignment), the SensorDomain range, and the core and power
+// configurations.
+func (c Config) Validate() error {
+	net, nd, err := c.Network().Resolve()
+	if err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if nd > 1 {
+		if _, err := domainAssignment(net.MultiDomain); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
+	}
+	if c.SensorDomain < 0 || c.SensorDomain > nd {
+		return fmt.Errorf("sim: sensor domain %d out of range for a %d-domain network", c.SensorDomain, nd)
+	}
+	if err := c.CPU.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if err := c.Power.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	return nil
+}
+
+// domainAssignment maps a multi-domain network's PowerUnits lists onto
+// the power model's unit-to-domain assignment.
+func domainAssignment(p *circuit.MultiDomainParams) ([power.NumUnits]uint8, error) {
+	lists := make([][]string, len(p.Domains))
+	for d, dp := range p.Domains {
+		lists[d] = dp.PowerUnits
+	}
+	return power.AssignmentFromNames(lists)
 }
 
 // DefaultConfig returns the paper's evaluation system: the Table 1 core,
@@ -184,8 +242,11 @@ type TracePoint struct {
 	Cycle          uint64
 	TotalAmps      float64
 	DeviationVolts float64
-	EventCount     int
-	ResponseLevel  int
+	// Violation is the machine's any-domain margin decision for the
+	// cycle (Observation.Violation).
+	Violation     bool
+	EventCount    int
+	ResponseLevel int
 }
 
 // Simulator runs one application under one technique: a Machine plus
@@ -222,6 +283,10 @@ func (s *Simulator) Core() *cpu.Core { return s.m.Core() }
 // Machine exposes the technique-independent simulated system.
 func (s *Simulator) Machine() *Machine { return s.m }
 
+// Technique returns the control scheme driving the machine (nil for the
+// base processor).
+func (s *Simulator) Technique() Technique { return s.tech }
+
 // SetTrace installs a per-cycle trace callback, plus optional functions
 // reporting the technique's resonant event count and response level.
 func (s *Simulator) SetTrace(f func(TracePoint), count func() int, level func() int) {
@@ -242,7 +307,7 @@ func (s *Simulator) StepCycle() {
 		s.tech.Observe(obs)
 	}
 	if s.trace != nil {
-		tp := TracePoint{Cycle: obs.Cycle, TotalAmps: obs.TotalAmps, DeviationVolts: obs.DeviationVolts}
+		tp := TracePoint{Cycle: obs.Cycle, TotalAmps: obs.TotalAmps, DeviationVolts: obs.DeviationVolts, Violation: obs.Violation}
 		if s.countFn != nil {
 			tp.EventCount = s.countFn()
 		}

@@ -371,44 +371,32 @@ type EnergyShare struct {
 	Percent float64
 }
 
-// EnergyBreakdown re-runs the given simulation and reports where the
-// energy went: the ungated clock floor, each architectural unit's dynamic
-// share, and phantom operations, sorted by consumption.
+// EnergyBreakdown re-runs the simulation spec describes — the same
+// application or workload, run length, technique, and system Simulate
+// would run — and reports where its energy went: each architectural
+// unit's dynamic share, phantom operations, and the ungated clock floor,
+// sorted by consumption. The rows sum to the run's Result.EnergyJ: the
+// floor row is what remains after the unit and phantom rows, which nets
+// out the few cycles of unit energy still spreading when the run ended.
 func EnergyBreakdown(spec SimulationSpec) ([]EnergyShare, error) {
-	app, err := workload.ByName(spec.App)
+	var unitJ [power.NumUnits]float64
+	res, err := engine.Inspect(spec, func(s *sim.Simulator) { _, unitJ = s.Power().Breakdown() })
 	if err != nil {
 		return nil, err
 	}
-	insts := spec.Instructions
-	if insts == 0 {
-		insts = 1_000_000
-	}
-	cfg := sim.DefaultConfig()
-	if spec.System != nil {
-		cfg = *spec.System
-	}
-	gen := workload.NewGenerator(app.Params, insts)
-	// Breakdown runs on the base machine plus whichever technique the
-	// spec selects; reuse Simulate's construction path by running fresh
-	// here with direct access to the power model.
-	s, err := sim.New(cfg, gen, nil)
-	if err != nil {
-		return nil, err
-	}
-	res := s.Run(spec.App, "base")
-	floorJ, unitJ := s.Power().Breakdown()
-
-	total := res.EnergyJ
-	rows := []EnergyShare{{Unit: "floor", Joules: floorJ}}
+	floorJ := res.EnergyJ - res.PhantomJ
+	var rows []EnergyShare
 	for u := power.Unit(0); u < power.NumUnits; u++ {
 		rows = append(rows, EnergyShare{Unit: u.String(), Joules: unitJ[u]})
+		floorJ -= unitJ[u]
 	}
 	if res.PhantomJ > 0 {
 		rows = append(rows, EnergyShare{Unit: "phantom", Joules: res.PhantomJ})
 	}
+	rows = append(rows, EnergyShare{Unit: "floor", Joules: floorJ})
 	for i := range rows {
-		if total > 0 {
-			rows[i].Percent = 100 * rows[i].Joules / total
+		if res.EnergyJ > 0 {
+			rows[i].Percent = 100 * rows[i].Joules / res.EnergyJ
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Joules > rows[j].Joules })
@@ -425,11 +413,7 @@ type ViolationReport = sim.ViolationReport
 // warning (the paper's initial response threshold, 2); lookback bounds
 // how far back warnings are attributed (a few resonant periods).
 func Postmortem(spec SimulationSpec, warningLevel, lookback int) ([]ViolationReport, Result, error) {
-	cfg := sim.DefaultConfig()
-	if spec.System != nil {
-		cfg = *spec.System
-	}
-	pm := sim.NewPostmortem(cfg.Supply.NoiseMarginVolts(), warningLevel, lookback)
+	pm := sim.NewPostmortem(warningLevel, lookback)
 	prev := spec.Trace
 	spec.Trace = func(tp TracePoint) {
 		pm.Observe(tp)

@@ -264,3 +264,99 @@ func TestPostmortemFacade(t *testing.T) {
 		t.Errorf("bursts cover %d cycles, %d violations counted", covered, res.Violations)
 	}
 }
+
+// TestPostmortemFlagsMachineViolations: the analyser flags exactly the
+// cycles the machine counts as violations, on every way of describing
+// the network — including a PDN spec whose legacy Supply is left zero,
+// and a two-domain PDN whose second domain has a tightened margin.
+func TestPostmortemFlagsMachineViolations(t *testing.T) {
+	zeroSupply := Table1System()
+	zeroSupply.Supply = SupplyParams{}
+	zeroSupply.PDN = &NetworkConfig{Kind: "lumped"}
+	twoStage := TwoStageSupply()
+	tight := TwoDomainPDN()
+	tight.Domains[1].NoiseMargin /= 4 // fp-rail violations the core margin would miss
+	cases := map[string]SimulationSpec{
+		"lumped":                {},
+		"two-stage":             {System: &SimConfig{CPU: Table1System().CPU, Power: Table1System().Power, TwoStageSupply: &twoStage}},
+		"PDN with zero Supply":  {System: &zeroSupply},
+		"two-domain, one tight": {PDN: &NetworkConfig{Kind: "multidomain", MultiDomain: &tight}},
+	}
+	for name, spec := range cases {
+		t.Run(name, func(t *testing.T) {
+			spec.App, spec.Instructions = "lucas", 150_000
+			var flagged []uint64
+			spec.Trace = func(tp TracePoint) {
+				if tp.Violation {
+					flagged = append(flagged, tp.Cycle)
+				}
+			}
+			reps, res, err := Postmortem(spec, 2, 500)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Violations == 0 {
+				t.Fatal("no violations: the case exercises nothing")
+			}
+			if uint64(len(flagged)) != res.Violations {
+				t.Fatalf("%d cycles flagged, %d violations counted", len(flagged), res.Violations)
+			}
+			// Every flagged cycle lies in a burst, and every burst starts
+			// and ends on a flagged cycle.
+			isFlagged := map[uint64]bool{}
+			for _, c := range flagged {
+				isFlagged[c] = true
+			}
+			for _, r := range reps {
+				if !isFlagged[r.StartCycle] || !isFlagged[r.EndCycle] {
+					t.Errorf("burst %d-%d not bounded by flagged cycles", r.StartCycle, r.EndCycle)
+				}
+			}
+			b := 0
+			for _, c := range flagged {
+				for b < len(reps) && reps[b].EndCycle < c {
+					b++
+				}
+				if b == len(reps) || c < reps[b].StartCycle {
+					t.Fatalf("flagged cycle %d outside every burst", c)
+				}
+			}
+		})
+	}
+}
+
+// TestEnergyBreakdownHonoursSpec: the breakdown describes the run the
+// spec selects — technique, network, run length — so its rows sum to
+// that run's energy, phantom operations included.
+func TestEnergyBreakdownHonoursSpec(t *testing.T) {
+	for name, spec := range map[string]SimulationSpec{
+		"tuning":     {App: "lucas", Instructions: 150_000, Technique: TechniqueTuning},
+		"two-domain": {App: "gzip", Instructions: 40_000, PDN: &NetworkConfig{Kind: "multidomain"}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rows, err := EnergyBreakdown(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Simulate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum float64
+			phantom := false
+			for _, r := range rows {
+				sum += r.Joules
+				phantom = phantom || r.Unit == "phantom"
+			}
+			if math.Abs(sum-res.EnergyJ) > 1e-12*res.EnergyJ {
+				t.Errorf("rows sum to %g J, the run used %g J", sum, res.EnergyJ)
+			}
+			if want := res.PhantomJ > 0; phantom != want {
+				t.Errorf("phantom row present = %v, run spent %g J on phantoms", phantom, res.PhantomJ)
+			}
+			if name == "tuning" && !phantom {
+				t.Error("tuning run reports no phantom energy")
+			}
+		})
+	}
+}
