@@ -1,10 +1,12 @@
 // Package batchkernel steps K simulations in lockstep over one shared
-// machine. The engine's batch path packs specs whose technique-independent
-// halves are identical (same application stream, same simulated system —
-// see Spec.MachineKey) into the lanes of a group; per-lane state is kept
-// in parallel arrays (the lanes and their per-cycle decisions), while the
-// expensive machine state — core scheduler, power accumulators, supply
-// circuit — exists once per cohort.
+// machine; it is the engine's only simulation loop. A single spec is a
+// K=1 run, and the engine's batch path packs specs whose
+// technique-independent halves are identical (same application stream,
+// same simulated system — see Spec.MachineKey) into the lanes of one
+// group. Per-lane state is kept in parallel arrays (the lanes and their
+// per-cycle decisions), while the expensive machine state — core
+// scheduler, power accumulators, supply circuit — exists once per
+// cohort.
 //
 // The kernel is speculative: each cycle every live lane's technique
 // decides its (throttle, phantom) pair, and as long as the decisions
@@ -25,6 +27,12 @@
 // stays frozen as the differential reference; internal/engine's
 // differential harness pins the equivalence per cycle over every
 // registered technique kind, including forked and re-forked lanes.
+//
+// A lane whose technique or trace callback panics fails alone: each
+// cohort loop runs under one recover, which marks the lane in flight
+// Failed and resumes the cohort without it. A panic in the machine's
+// own step propagates to the caller, since every lane of the cohort
+// shares that machine.
 package batchkernel
 
 import (
@@ -47,7 +55,8 @@ const (
 	// Diverged lanes decided differently from their cohort leader at
 	// DivergedAt on a machine that could not be forked (an unforkable
 	// instruction source); no machine step was taken for them at that
-	// cycle, and the caller must re-run them on the scalar path.
+	// cycle, and the caller must re-run them alone, from a fresh
+	// technique, as K=1 runs.
 	Diverged
 	// Failed lanes panicked in their technique or trace callback; Err
 	// carries the recovered panic. The rest of the cohort is unaffected.
@@ -67,9 +76,10 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", uint8(s))
 }
 
-// Lane is one simulation sharing a cohort's machine: the technique (with
-// its own controller state) plus the optional per-cycle trace hooks,
-// mirroring sim.Simulator.SetTrace.
+// Lane is one simulation in a Run: the technique (with its own
+// controller state) plus the optional per-cycle trace hooks, mirroring
+// sim.Simulator.SetTrace. Its Next and Observe calls, and the trace
+// callbacks, run under the cohort loop's recover (see Failed).
 type Lane struct {
 	// Tech decides the lane's per-cycle control; nil is the base
 	// (uncontrolled) machine.
@@ -95,32 +105,9 @@ func (l *Lane) name() string {
 	return "base"
 }
 
-// next asks the lane's technique for its decision, converting a panic
-// into an error so one broken lane cannot take down the cohort.
-func (l *Lane) next() (th cpu.Throttle, ph sim.Phantom, err error) {
-	if l.Tech == nil {
-		return cpu.Unlimited, sim.Phantom{}, nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("batchkernel: technique %s panicked in Next: %v", l.name(), r)
-		}
-	}()
-	th, ph = l.Tech.Next()
-	return th, ph, nil
-}
-
-// observe delivers the cycle's observation and trace point to the lane,
-// converting a panic into an error.
-func (l *Lane) observe(obs *sim.Observation) (err error) {
-	if l.Tech == nil && l.Trace == nil {
-		return nil // nothing to deliver; skip the recover scaffolding
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("batchkernel: technique %s panicked in Observe: %v", l.name(), r)
-		}
-	}()
+// deliver hands the cycle's observation to the lane's technique and
+// trace callback.
+func (l *Lane) deliver(obs *sim.Observation) {
 	if l.Tech != nil {
 		l.Tech.Observe(obs)
 	}
@@ -134,7 +121,6 @@ func (l *Lane) observe(obs *sim.Observation) (err error) {
 		}
 		l.Trace(tp)
 	}
-	return nil
 }
 
 // Outcome describes how one lane ended.
@@ -168,7 +154,7 @@ type Stats struct {
 	// CyclesSaved is the speculative prefix retained by forking: the sum
 	// over lanes of the lane's cycle position at its *first* fork —
 	// exactly the per-lane prefix the pre-fork kernel discarded and
-	// re-simulated from cycle zero on the scalar path.
+	// re-simulated from cycle zero.
 	CyclesSaved uint64
 	// Steps counts machine steps executed across the whole cohort tree;
 	// the sum of the lanes' cycle counts divided by Steps is the
@@ -208,12 +194,10 @@ type cohort struct {
 // divergence statistics. appName labels the results. The leader — the
 // first live lane of a cohort — drives that cohort's machine; when it is
 // removed the next live lane is promoted. Run consumes the machine: it
-// must be freshly built and not shared.
+// must be freshly built and not shared. A K=1 Run never forks, so its
+// lane ends on the machine passed in, which the caller may then inspect.
 func Run(m *sim.Machine, appName string, lanes []Lane) ([]Outcome, Stats) {
-	out := make([]Outcome, len(lanes))
-	var stats Stats
-	decisions := make([]decision, len(lanes))
-
+	k := &kernel{lanes: lanes, decisions: make([]decision, len(lanes)), out: make([]Outcome, len(lanes))}
 	root := cohort{m: m, live: make([]int, len(lanes))}
 	for i := range lanes {
 		root.live[i] = i
@@ -222,135 +206,203 @@ func Run(m *sim.Machine, appName string, lanes []Lane) ([]Outcome, Stats) {
 	// and the current one keeps running; order does not affect results
 	// (cohorts share nothing after the fork) but LIFO keeps the warm
 	// machine state cache-resident.
-	stack := []cohort{root}
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		stack = runCohort(c, appName, lanes, decisions, out, &stats, stack)
+	k.stack = []cohort{root}
+	for len(k.stack) > 0 {
+		k.cohort = k.stack[len(k.stack)-1]
+		k.stack = k.stack[:len(k.stack)-1]
+		for !k.advance() {
+		}
+		for _, i := range k.live {
+			res := k.m.Result(appName, lanes[i].name())
+			res.Tech = sim.TechStatsOf(lanes[i].Tech)
+			k.out[i].Status = Finished
+			k.out[i].Result = res
+		}
+		ms := k.m.Power().MemoStats()
+		k.stats.PowerMemo.Hits += ms.Hits
+		k.stats.PowerMemo.Misses += ms.Misses
+		k.stats.PowerMemo.Bypasses += ms.Bypasses
 	}
-	return out, stats
+	return k.out, k.stats
 }
 
-// runCohort advances one cohort to completion, appending any cohorts it
-// forks to stack and returning it.
-func runCohort(c cohort, appName string, lanes []Lane, decisions []decision, out []Outcome, stats *Stats, stack []cohort) []cohort {
-	m := c.m
-	limit := m.CycleLimit()
+// laneCall says whose code a cohort loop is running, so the loop's one
+// recover can tell a lane's panic (fail that lane, resume the cohort)
+// from the machine's own (fail the whole Run).
+type laneCall uint8
 
-	for len(c.live) > 0 && !m.Done() && m.Cycles() < limit {
-		if c.pending == nil && len(c.live) == 1 {
-			// Sole survivor: no lockstep check to run, so skip the
-			// decision bookkeeping — this is the common state once a
-			// cohort has shed its other lanes.
-			i := c.live[0]
-			th, ph, err := lanes[i].next()
-			if err != nil {
-				out[i].Status, out[i].DivergedAt, out[i].Err = Failed, m.Cycles(), err
-				c.live = c.live[:0]
-				break
-			}
-			obs := m.Step(th, ph)
-			stats.Steps++
-			if err := lanes[i].observe(obs); err != nil {
-				out[i].Status, out[i].DivergedAt, out[i].Err = Failed, obs.Cycle, err
-				c.live = c.live[:0]
-				break
-			}
-			continue
+const (
+	inMachine laneCall = iota
+	inNext
+	inObserve
+)
+
+// kernel is one Run's state: the lanes and their per-lane arrays, the
+// cohorts still to run, and the loop state of the cohort running now.
+// The loop state lives outside the loop so that after a lane panics the
+// loop resumes where it stopped: at position pos of live, in the decide
+// pass (call == inNext) or the observe pass (call == inObserve).
+type kernel struct {
+	lanes     []Lane
+	decisions []decision
+	out       []Outcome
+	stats     Stats
+	stack     []cohort
+
+	cohort
+	call laneCall
+	pos  int
+	obs  *sim.Observation
+}
+
+// advance runs the current cohort until the stream drains (true) or a
+// lane panics (false: the lane is failed and removed, and the next
+// advance resumes the interrupted pass). One recover per advance, rather
+// than one per lane call, keeps the per-cycle cost that of the plain
+// Next → Step → Observe sequence.
+func (k *kernel) advance() (done bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			k.failLane(p)
 		}
-
+	}()
+	switch k.call {
+	case inNext:
+		k.decide()
+		k.step()
+	case inObserve:
+		k.observe()
+	}
+	m := k.m
+	limit := m.CycleLimit()
+	for len(k.live) > 0 && !m.Done() && m.Cycles() < limit {
+		if k.pending == nil && len(k.live) == 1 {
+			// Sole survivor: no lockstep check to run, so skip the
+			// decision bookkeeping and run to the end — this is the
+			// common state once a cohort has shed its other lanes, and
+			// every K=1 run.
+			l := &k.lanes[k.live[0]]
+			for !m.Done() && m.Cycles() < limit {
+				th, ph := cpu.Unlimited, sim.Phantom{}
+				if l.Tech != nil {
+					k.call = inNext
+					th, ph = l.Tech.Next()
+				}
+				k.call = inMachine
+				obs := m.Step(th, ph)
+				k.stats.Steps++
+				k.call = inObserve
+				l.deliver(obs)
+				k.call = inMachine
+			}
+			break
+		}
 		// Decide: every live lane's control for this cycle — the
 		// decisions stored by the split that created this cohort, or
 		// fresh ones from each technique.
-		if c.pending != nil {
-			for k, i := range c.live {
-				decisions[i] = c.pending[k]
+		if k.pending != nil {
+			for j, i := range k.live {
+				k.decisions[i] = k.pending[j]
 			}
-			c.pending = nil
+			k.pending = nil
 		} else {
-			n := 0
-			for _, i := range c.live {
-				th, ph, err := lanes[i].next()
-				if err != nil {
-					out[i].Status, out[i].DivergedAt, out[i].Err = Failed, m.Cycles(), err
-					continue
-				}
-				decisions[i] = decision{th: th, ph: ph}
-				c.live[n] = i
-				n++
-			}
-			c.live = c.live[:n]
-			if n == 0 {
-				break
-			}
+			k.decide()
 		}
-
-		// Check lockstep: followers whose decision differs from the
-		// leader's leave the cohort *before* the machine steps, so the
-		// trajectory they observed so far is exactly their scalar
-		// prefix. They regroup by decision — one fork per distinct
-		// decision — and resume as new cohorts.
-		if len(c.live) > 1 {
-			lead := decisions[c.live[0]]
-			n := 1
-			var split []int
-			for _, i := range c.live[1:] {
-				if decisions[i] == lead {
-					c.live[n] = i
-					n++
-					continue
-				}
-				split = append(split, i)
-			}
-			c.live = c.live[:n]
-			if split != nil {
-				stack = forkCohorts(m, split, decisions, out, stats, stack)
-			}
-		}
-
-		// One machine step serves every lane still in the cohort.
-		obs := m.Step(decisions[c.live[0]].th, decisions[c.live[0]].ph)
-		stats.Steps++
-
-		n := 0
-		for _, i := range c.live {
-			if err := lanes[i].observe(obs); err != nil {
-				out[i].Status, out[i].DivergedAt, out[i].Err = Failed, obs.Cycle, err
-				continue
-			}
-			c.live[n] = i
-			n++
-		}
-		c.live = c.live[:n]
+		k.step()
 	}
-
-	for _, i := range c.live {
-		res := m.Result(appName, lanes[i].name())
-		res.Tech = sim.TechStatsOf(lanes[i].Tech)
-		out[i].Status = Finished
-		out[i].Result = res
-	}
-	ms := m.Power().MemoStats()
-	stats.PowerMemo.Hits += ms.Hits
-	stats.PowerMemo.Misses += ms.Misses
-	stats.PowerMemo.Bypasses += ms.Bypasses
-	return stack
+	return true
 }
 
-// forkCohorts regroups the lanes that just left a cohort: lanes sharing
-// a decision ride one machine fork together as a fresh lockstep cohort
-// (first-appearance order, so regrouping is deterministic). When the
-// machine cannot be forked the affected lanes come back Diverged for the
-// caller's scalar fallback — the pre-fork behaviour.
-func forkCohorts(m *sim.Machine, split []int, decisions []decision, out []Outcome, stats *Stats, stack []cohort) []cohort {
-	at := m.Cycles()
+// failLane marks the lane whose Next or Observe panicked Failed at the
+// cycle it was deciding or observing and drops it from the cohort. A
+// panic in the machine's own code is re-raised: every lane shares that
+// machine, so the caller fails the whole Run.
+func (k *kernel) failLane(p any) {
+	var at uint64
+	var where string
+	switch k.call {
+	case inNext:
+		at, where = k.m.Cycles(), "Next"
+	case inObserve:
+		at, where = k.m.Cycles()-1, "Observe"
+	default:
+		panic(p)
+	}
+	i := k.live[k.pos]
+	k.out[i].Status, k.out[i].DivergedAt = Failed, at
+	k.out[i].Err = fmt.Errorf("batchkernel: technique %s panicked in %s: %v", k.lanes[i].name(), where, p)
+	k.live = append(k.live[:k.pos], k.live[k.pos+1:]...)
+}
+
+// decide asks each live lane from pos on for its decision.
+func (k *kernel) decide() {
+	k.call = inNext
+	for ; k.pos < len(k.live); k.pos++ {
+		i := k.live[k.pos]
+		d := decision{th: cpu.Unlimited}
+		if t := k.lanes[i].Tech; t != nil {
+			d.th, d.ph = t.Next()
+		}
+		k.decisions[i] = d
+	}
+	k.pos, k.call = 0, inMachine
+}
+
+// step checks lockstep, steps the machine once for every lane still in
+// the cohort, and delivers the observation. Followers whose decision
+// differs from the leader's leave the cohort *before* the machine steps,
+// so the trajectory they observed so far is exactly their scalar prefix.
+func (k *kernel) step() {
+	if len(k.live) == 0 {
+		return
+	}
+	if len(k.live) > 1 {
+		lead := k.decisions[k.live[0]]
+		n := 1
+		var split []int
+		for _, i := range k.live[1:] {
+			if k.decisions[i] == lead {
+				k.live[n] = i
+				n++
+				continue
+			}
+			split = append(split, i)
+		}
+		k.live = k.live[:n]
+		if split != nil {
+			k.fork(split)
+		}
+	}
+	d := k.decisions[k.live[0]]
+	k.obs = k.m.Step(d.th, d.ph)
+	k.stats.Steps++
+	k.observe()
+}
+
+// observe delivers the cycle's observation to each live lane from pos on.
+func (k *kernel) observe() {
+	k.call = inObserve
+	for ; k.pos < len(k.live); k.pos++ {
+		k.lanes[k.live[k.pos]].deliver(k.obs)
+	}
+	k.pos, k.call = 0, inMachine
+}
+
+// fork regroups the lanes that just left the current cohort: lanes
+// sharing a decision ride one machine fork together as a fresh lockstep
+// cohort (first-appearance order, so regrouping is deterministic) pushed
+// on the stack. When the machine cannot be forked the affected lanes
+// come back Diverged for the caller to re-run alone — the pre-fork
+// behaviour.
+func (k *kernel) fork(split []int) {
+	at := k.m.Cycles()
 	for len(split) > 0 {
-		d0 := decisions[split[0]]
+		d0 := k.decisions[split[0]]
 		grp := []int{split[0]}
 		rest := split[1:]
 		n := 0
 		for _, i := range rest {
-			if decisions[i] == d0 {
+			if k.decisions[i] == d0 {
 				grp = append(grp, i)
 			} else {
 				rest[n] = i
@@ -358,28 +410,26 @@ func forkCohorts(m *sim.Machine, split []int, decisions []decision, out []Outcom
 			}
 		}
 		rest = rest[:n]
+		split = rest
 
-		fm, err := m.Fork()
+		fm, err := k.m.Fork()
 		if err != nil {
 			for _, i := range grp {
-				out[i].Status, out[i].DivergedAt = Diverged, at
+				k.out[i].Status, k.out[i].DivergedAt = Diverged, at
 			}
-			split = rest
 			continue
 		}
-		stats.CohortsForked++
-		stats.LanesForked += uint64(len(grp))
+		k.stats.CohortsForked++
+		k.stats.LanesForked += uint64(len(grp))
 		pend := make([]decision, len(grp))
-		for k, i := range grp {
-			pend[k] = decisions[i]
-			if out[i].Forks == 0 {
-				out[i].FirstForkAt = at
-				stats.CyclesSaved += at
+		for j, i := range grp {
+			pend[j] = k.decisions[i]
+			if k.out[i].Forks == 0 {
+				k.out[i].FirstForkAt = at
+				k.stats.CyclesSaved += at
 			}
-			out[i].Forks++
+			k.out[i].Forks++
 		}
-		stack = append(stack, cohort{m: fm, live: grp, pending: pend})
-		split = rest
+		k.stack = append(k.stack, cohort{m: fm, live: grp, pending: pend})
 	}
-	return stack
 }

@@ -5,9 +5,9 @@ package batchkernel_test
 // K=1 (no lockstep peers at all), K=5 (non-power-of-two, forks at three
 // different cycles), K=9 (more lanes than distinct behaviours, so
 // duplicates must stay in lockstep — and fork — together), cascading
-// re-splits (a forked cohort splitting again), a lane panicking
-// mid-batch and another panicking after it forked, and an unforkable
-// instruction source (the Diverged scalar-fallback path).
+// re-splits (a forked cohort splitting again), lanes panicking in Next
+// or Observe mid-batch and after they forked, and an unforkable
+// instruction source (the Diverged re-run path).
 
 import (
 	"strings"
@@ -51,14 +51,16 @@ func (u *unforkableSource) Next() (cpu.Inst, bool) { return u.inner.Next() }
 // scriptTech is a deterministic scripted technique: it runs unthrottled
 // except from cycle throttleFrom on, where it halves the issue width,
 // and from throttleFrom2 on (when set), where it quarters it — and
-// optionally panics in Next at panicAt. Cycle position is driven by
-// Observe calls, exactly as for a real technique.
+// optionally panics in Next at panicAt, or in Observe when delivered
+// cycle observePanicAt. Cycle position is driven by Observe calls,
+// exactly as for a real technique.
 type scriptTech struct {
-	name          string
-	throttleFrom  uint64 // 0 = never throttle
-	throttleFrom2 uint64 // 0 = no second phase
-	panicAt       uint64 // 0 = never panic
-	cycle         uint64
+	name           string
+	throttleFrom   uint64 // 0 = never throttle
+	throttleFrom2  uint64 // 0 = no second phase
+	panicAt        uint64 // 0 = never panic in Next
+	observePanicAt uint64 // 0 = never panic in Observe
+	cycle          uint64
 
 	recs []obsRecord
 }
@@ -85,6 +87,9 @@ func (s *scriptTech) Next() (cpu.Throttle, sim.Phantom) {
 }
 
 func (s *scriptTech) Observe(obs *sim.Observation) {
+	if s.observePanicAt != 0 && obs.Cycle >= s.observePanicAt {
+		panic("scripted observe panic")
+	}
 	rec := obsRecord{obs: *obs, act: *obs.Activity}
 	rec.obs.Activity = nil
 	s.recs = append(s.recs, rec)
@@ -93,7 +98,7 @@ func (s *scriptTech) Observe(obs *sim.Observation) {
 
 // clone returns a fresh technique with the same script and no state.
 func (s *scriptTech) clone() *scriptTech {
-	return &scriptTech{name: s.name, throttleFrom: s.throttleFrom, throttleFrom2: s.throttleFrom2, panicAt: s.panicAt}
+	return &scriptTech{name: s.name, throttleFrom: s.throttleFrom, throttleFrom2: s.throttleFrom2, panicAt: s.panicAt, observePanicAt: s.observePanicAt}
 }
 
 // scalarRun replays one scripted lane on the frozen scalar Simulator.
@@ -293,29 +298,56 @@ func TestCascadingResplit(t *testing.T) {
 	}
 }
 
-// TestLanePanicMidBatch has one lane panic in Next partway through: it
-// must come back Failed with the panic in Err, and the remaining lanes
-// must still finish bit-identical to scalar.
+// TestLanePanicMidBatch has one lane panic partway through — in Next,
+// in Observe while it still shares the root cohort, and in Observe after
+// it forked off to run alone: it must come back Failed at exactly that
+// cycle with the panic and the failing call in Err, having observed
+// exactly its scalar prefix, and the remaining lanes must still finish
+// bit-identical to scalar.
 func TestLanePanicMidBatch(t *testing.T) {
-	scripts, outs, _ := runGroup(t, []*scriptTech{
-		nil,
-		{name: "bomb", panicAt: 60},
-		{name: "quiet", throttleFrom: 0},
-	})
-	if outs[1].Status != batchkernel.Failed {
-		t.Fatalf("bomb lane: status %v, want failed", outs[1].Status)
+	for _, tc := range []struct {
+		name   string
+		bomb   scriptTech
+		at     uint64 // cycle the lane fails at
+		call   string // the call that panics
+		forkAt uint64 // the lane's first fork (0 = stays in the root cohort)
+	}{
+		{"next", scriptTech{name: "bomb", panicAt: 60}, 60, "Next", 0},
+		{"observe-in-cohort", scriptTech{name: "obsbomb", observePanicAt: 80}, 80, "Observe", 0},
+		{"observe-forked", scriptTech{name: "forkobsbomb", throttleFrom: 40, observePanicAt: 120}, 120, "Observe", 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bomb := tc.bomb
+			scripts, outs, _ := runGroup(t, []*scriptTech{
+				nil,
+				&bomb,
+				{name: "quiet", throttleFrom: 0},
+			})
+			out := outs[1]
+			if out.Status != batchkernel.Failed {
+				t.Fatalf("%s lane: status %v, want failed", bomb.name, out.Status)
+			}
+			if out.Err == nil || !strings.Contains(out.Err.Error(), "scripted") ||
+				!strings.Contains(out.Err.Error(), "panicked in "+tc.call) {
+				t.Errorf("%s lane: err %v, want the recovered scripted panic in %s", bomb.name, out.Err, tc.call)
+			}
+			if out.DivergedAt != tc.at {
+				t.Errorf("%s lane: failed at %d, want %d", bomb.name, out.DivergedAt, tc.at)
+			}
+			if out.FirstForkAt != tc.forkAt || (out.Forks == 0) != (tc.forkAt == 0) {
+				t.Errorf("%s lane: forks=%d firstForkAt=%d, want first fork at %d", bomb.name, out.Forks, out.FirstForkAt, tc.forkAt)
+			}
+			if got := uint64(len(scripts[1].recs)); got != tc.at {
+				t.Errorf("%s lane: observed %d cycles before the panic, want %d", bomb.name, got, tc.at)
+			}
+			ref := bomb.clone()
+			ref.panicAt, ref.observePanicAt = 0, 0
+			sRecs, _ := scalarRun(t, ref)
+			compareObs(t, bomb.name, scripts[1].recs, sRecs, int(tc.at))
+			checkLane(t, "base", scripts[0], outs[0], 0)
+			checkLane(t, "quiet", scripts[2], outs[2], 0)
+		})
 	}
-	if outs[1].Err == nil || !strings.Contains(outs[1].Err.Error(), "scripted panic") {
-		t.Errorf("bomb lane: err %v, want recovered scripted panic", outs[1].Err)
-	}
-	if outs[1].DivergedAt != 60 {
-		t.Errorf("bomb lane: failed at %d, want 60", outs[1].DivergedAt)
-	}
-	if len(scripts[1].recs) != 60 {
-		t.Errorf("bomb lane: observed %d cycles before the panic, want 60", len(scripts[1].recs))
-	}
-	checkLane(t, "base", scripts[0], outs[0], 0)
-	checkLane(t, "quiet", scripts[2], outs[2], 0)
 }
 
 // TestForkThenPanic has a lane fork at cycle 40 and panic at cycle 100,
@@ -355,7 +387,7 @@ func TestForkThenPanic(t *testing.T) {
 	checkLane(t, "quiet", scripts[2], outs[2], 0)
 }
 
-// TestUnforkableSourceDiverges pins the scalar-fallback path: on a
+// TestUnforkableSourceDiverges pins the Diverged re-run path: on a
 // machine whose instruction source cannot be forked, a diverging lane
 // must come back Diverged at exactly its divergence cycle with exactly
 // the scalar prefix observed, and the rest of the group must finish.

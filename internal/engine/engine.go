@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/engine/batchkernel"
-	"repro/internal/power"
 	"repro/internal/sim"
 )
 
@@ -18,9 +17,6 @@ type Options struct {
 	// Parallelism bounds concurrently executing simulations across all
 	// of the engine's batch calls; <= 0 means GOMAXPROCS.
 	Parallelism int
-	// DisableCache makes every run simulate afresh (used by benchmarks
-	// and equivalence tests; results are identical either way).
-	DisableCache bool
 	// DiskCacheDir, when non-empty, adds a persistent second cache tier:
 	// finished Results are written there as one JSON file per Spec.Key
 	// (atomic renames), and later engines — including later processes —
@@ -49,7 +45,6 @@ type Options struct {
 // and with a disk tier, once per cache directory, not once per process.
 type Engine struct {
 	parallelism int
-	cacheOff    bool
 	slots       chan struct{}
 	disk        *diskCache
 
@@ -94,7 +89,6 @@ func New(o Options) *Engine {
 	}
 	e := &Engine{
 		parallelism: p,
-		cacheOff:    o.DisableCache,
 		slots:       make(chan struct{}, p),
 		entries:     make(map[Key]*entry),
 	}
@@ -195,30 +189,6 @@ func (e *Engine) releaseSlot() {
 	<-e.slots
 }
 
-// executeSafe is executeMeasured with panics converted into errors. The
-// engine must resolve its claimed cache entry and release its worker
-// slot on every path out of a simulation; letting a panicking grid point
-// unwind through a long-running server would instead strand waiters on
-// a never-closed entry (technique constructors are validated before
-// execution, but a panic can still escape a pathological configuration).
-func executeSafe(spec Spec) (res sim.Result, st power.MemoStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("simulation panic: %v", r)
-		}
-	}()
-	return executeMeasured(spec, nil)
-}
-
-// addMemoStats folds one simulation's power-memoization counters into
-// the engine totals.
-func (e *Engine) addMemoStats(st power.MemoStats) {
-	e.mu.Lock()
-	e.powerMemoHits += st.Hits
-	e.powerMemoLookups += st.Lookups()
-	e.mu.Unlock()
-}
-
 // addKernelStats folds one lockstep group's divergence and memoization
 // counters into the engine totals.
 func (e *Engine) addKernelStats(st batchkernel.Stats) {
@@ -245,166 +215,42 @@ func (e *Engine) addKernelStats(st batchkernel.Stats) {
 // engine's worker slots, so direct Run traffic and batch workers share
 // the same concurrency bound.
 func (e *Engine) Run(ctx context.Context, spec Spec) (sim.Result, error) {
-	return e.run(ctx, spec, true)
+	key, err := spec.Key()
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return e.RunKeyed(ctx, key, spec)
 }
 
 // RunKeyed is Run for callers that already computed the spec's content
 // key (e.g. a server handler that reports it per response): it skips the
 // second key derivation and shares Run's coalescing, caching, and slot
 // accounting. key must equal spec.Key(); a mismatched key would poison
-// the cache for every later consumer of that key.
+// the cache for every later consumer of that key. A memory-tier hit is
+// served here; anything else runs as a one-spec batch.
 func (e *Engine) RunKeyed(ctx context.Context, key Key, spec Spec) (sim.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return sim.Result{}, err
 	}
-	if e.cacheOff {
-		return e.runUncached(ctx, spec)
-	}
-	return e.runKeyed(ctx, key, spec, true)
-}
-
-// run is Run with the slot-acquisition choice explicit: batch workers
-// already hold a slot when they reach the scalar path, so acquiring a
-// second one could deadlock a fully loaded pool.
-func (e *Engine) run(ctx context.Context, spec Spec, needSlot bool) (sim.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return sim.Result{}, err
-	}
-	if e.cacheOff {
-		if !needSlot {
-			res, st, err := executeSafe(spec)
-			e.addMemoStats(st)
-			return res, err
-		}
-		return e.runUncached(ctx, spec)
-	}
-	key, err := spec.Key()
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return e.runKeyed(ctx, key, spec, needSlot)
-}
-
-// runUncached executes spec under the slot bound without touching the
-// cache (DisableCache engines).
-func (e *Engine) runUncached(ctx context.Context, spec Spec) (sim.Result, error) {
-	if !e.acquireSlot(ctx) {
-		return sim.Result{}, ctx.Err()
-	}
-	defer e.releaseSlot()
-	res, st, err := executeSafe(spec)
-	e.addMemoStats(st)
-	return res, err
-}
-
-func (e *Engine) runKeyed(ctx context.Context, key Key, spec Spec, needSlot bool) (sim.Result, error) {
-	if spec.Trace != nil {
-		return e.runTraced(ctx, key, spec, needSlot)
-	}
-
-	e.mu.Lock()
-	if en, ok := e.entries[key]; ok {
-		e.hits++
-		e.mu.Unlock()
-		select {
-		case <-en.done:
-			return en.res, en.err
-		case <-ctx.Done():
-			return sim.Result{}, ctx.Err()
-		}
-	}
-	en := &entry{done: make(chan struct{})}
-	e.entries[key] = en
-	e.mu.Unlock()
-
-	// Second tier: an untraced miss may be served from disk without
-	// simulating; the loaded result is promoted into the memory tier.
-	if e.disk != nil {
-		if res, ok := e.disk.load(key); ok {
-			e.mu.Lock()
-			e.diskHits++
+	if spec.Trace == nil {
+		e.mu.Lock()
+		if en, ok := e.entries[key]; ok {
+			e.hits++
 			e.mu.Unlock()
-			en.res = res
-			close(en.done)
-			return res, nil
-		}
-	}
-
-	// resolve publishes the claimed entry (evicting it first on failure
-	// so a later identical spec retries); it must run on every path out
-	// of here, or waiters hang forever.
-	resolve := func(res sim.Result, err error) {
-		en.res, en.err = res, err
-		if err != nil {
-			e.mu.Lock()
-			if e.entries[key] == en {
-				delete(e.entries, key)
+			select {
+			case <-en.done:
+				return en.res, en.err
+			case <-ctx.Done():
+				return sim.Result{}, ctx.Err()
 			}
-			e.mu.Unlock()
 		}
-		close(en.done)
+		e.mu.Unlock()
 	}
-
-	e.mu.Lock()
-	e.misses++
-	e.mu.Unlock()
-	if needSlot {
-		if !e.acquireSlot(ctx) {
-			resolve(sim.Result{}, ctx.Err())
-			return sim.Result{}, ctx.Err()
-		}
-		defer e.releaseSlot()
-	}
-	res, st, err := executeSafe(spec)
-	e.addMemoStats(st)
-	resolve(res, err)
-	if err == nil && e.disk != nil {
-		if e.disk.store(key, res) {
-			e.mu.Lock()
-			e.diskWrites++
-			e.mu.Unlock()
-		}
-	}
-	return res, err
-}
-
-// runTraced executes a traced spec, which always simulates (its
-// per-cycle callback cannot be replayed from a cache). The result is
-// published on success only, and only into a vacant memory slot: a
-// traced run must never displace a live entry, because a traced failure
-// would then evict that entry while the displaced run's good result has
-// nowhere to land, and even a traced success would strand the original
-// run's waiters counting on an entry that is no longer in the map.
-func (e *Engine) runTraced(ctx context.Context, key Key, spec Spec, needSlot bool) (sim.Result, error) {
-	if needSlot {
-		if !e.acquireSlot(ctx) {
-			return sim.Result{}, ctx.Err()
-		}
-		defer e.releaseSlot()
-	}
-	e.mu.Lock()
-	e.misses++
-	e.mu.Unlock()
-	res, st, err := executeSafe(spec)
-	e.addMemoStats(st)
+	res, _, err := e.runBatch(ctx, []Spec{spec}, []Key{key}, nil)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	en := &entry{done: make(chan struct{}), res: res}
-	close(en.done)
-	e.mu.Lock()
-	if _, exists := e.entries[key]; !exists {
-		e.entries[key] = en
-	}
-	e.mu.Unlock()
-	if e.disk != nil {
-		if e.disk.store(key, res) {
-			e.mu.Lock()
-			e.diskWrites++
-			e.mu.Unlock()
-		}
-	}
-	return res, nil
+	return res[0], nil
 }
 
 // RunAll executes every spec through the worker pool and returns results
@@ -414,11 +260,11 @@ func (e *Engine) runTraced(ctx context.Context, key Key, spec Spec, needSlot boo
 // cancels the remaining queue and is returned annotated with the failing
 // spec.
 func (e *Engine) RunAll(ctx context.Context, specs []Spec, progress func(i int, res sim.Result)) ([]sim.Result, error) {
-	labels := make([]string, len(specs))
-	for i, s := range specs {
-		labels[i] = fmt.Sprintf("spec %d (app=%s, technique=%s)", i, s.App, s.Technique)
+	res, i, err := e.runBatch(ctx, specs, nil, progress)
+	if i >= 0 {
+		err = fmt.Errorf("engine: spec %d (app=%s, technique=%s): %w", i, specs[i].App, specs[i].Technique, err)
 	}
-	return e.runBatch(ctx, specs, labels, progress)
+	return res, err
 }
 
 // Point is one grid coordinate: a spec plus the label used to identify
@@ -433,15 +279,23 @@ type Point struct {
 // coordinates of the point that failed).
 func (e *Engine) Grid(ctx context.Context, points []Point, progress func(i int, res sim.Result)) ([]sim.Result, error) {
 	specs := make([]Spec, len(points))
-	labels := make([]string, len(points))
 	for i, p := range points {
 		specs[i] = p.Spec
-		labels[i] = p.Label
 	}
-	return e.runBatch(ctx, specs, labels, progress)
+	res, i, err := e.runBatch(ctx, specs, nil, progress)
+	if i >= 0 {
+		err = fmt.Errorf("engine: %s: %w", points[i].Label, err)
+	}
+	return res, err
 }
 
-func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string, progress func(int, sim.Result)) ([]sim.Result, error) {
+// runBatch is the engine's one execution path: it claims each spec's
+// memory-tier entry, serves what it can from the disk tier, packs the
+// rest into lane groups, and runs the groups on the worker pool. keys,
+// when non-nil, are the specs' precomputed content keys. On failure it
+// returns the index of the spec whose error is the root cause, or -1
+// when the batch was cancelled.
+func (e *Engine) runBatch(parent context.Context, specs []Spec, keys []Key, progress func(int, sim.Result)) ([]sim.Result, int, error) {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
@@ -464,65 +318,55 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string,
 		}
 	}
 
-	// Claim: compute every untraced spec's key and claim its memory-tier
+	// Claim: key every spec and claim each untraced spec's memory-tier
 	// entry in one critical section, so the packer below sees the whole
 	// set of specs this batch must simulate. Specs already in flight (or
-	// cached) elsewhere become waiters; traced specs keep the scalar Run
-	// path, whose per-cycle side effects must always re-simulate.
+	// cached) elsewhere become waiters. Traced specs claim nothing: their
+	// per-cycle side effects must always re-simulate.
 	type waiter struct {
 		i  int
 		en *entry
 	}
 	var waits []waiter
 	var toRun []int
-	owned := make(map[int]*entry)
-	keys := make(map[int]Key)
-	if e.cacheOff {
+	owned := make([]*entry, len(specs))
+	if keys == nil {
+		keys = make([]Key, len(specs))
 		for i := range specs {
-			toRun = append(toRun, i)
-		}
-	} else {
-		for i := range specs {
-			if specs[i].Trace != nil {
-				continue
-			}
-			k, err := specs[i].Key()
-			if err != nil {
+			var err error
+			if keys[i], err = specs[i].Key(); err != nil {
 				fail(i, err)
-				continue
 			}
-			keys[i] = k
 		}
-		e.mu.Lock()
-		for i := range specs {
-			if specs[i].Trace != nil {
-				toRun = append(toRun, i)
-				continue
-			}
-			k, ok := keys[i]
-			if !ok {
-				continue // key error already recorded
-			}
-			if en, exists := e.entries[k]; exists {
-				e.hits++
-				waits = append(waits, waiter{i: i, en: en})
-				continue
-			}
-			en := &entry{done: make(chan struct{})}
-			e.entries[k] = en
-			owned[i] = en
-			toRun = append(toRun, i)
-		}
-		e.mu.Unlock()
 	}
+	e.mu.Lock()
+	for i := range specs {
+		if errs[i] != nil {
+			continue // key error already recorded
+		}
+		if specs[i].Trace != nil {
+			toRun = append(toRun, i)
+			continue
+		}
+		if en, exists := e.entries[keys[i]]; exists {
+			e.hits++
+			waits = append(waits, waiter{i: i, en: en})
+			continue
+		}
+		en := &entry{done: make(chan struct{})}
+		e.entries[keys[i]] = en
+		owned[i] = en
+		toRun = append(toRun, i)
+	}
+	e.mu.Unlock()
 
-	// Disk probe: owned untraced specs may be served from the
-	// persistent tier without simulating.
-	if e.disk != nil && !e.cacheOff {
+	// Disk probe: owned specs may be served from the persistent tier
+	// without simulating.
+	if e.disk != nil {
 		n := 0
 		for _, i := range toRun {
-			en, isOwned := owned[i]
-			if !isOwned {
+			en := owned[i]
+			if en == nil {
 				toRun[n] = i
 				n++
 				continue
@@ -538,131 +382,91 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string,
 			e.mu.Unlock()
 			en.res = res
 			close(en.done)
-			delete(owned, i)
+			owned[i] = nil
 			succeed(i, res)
 		}
 		toRun = toRun[:n]
 	}
 
 	// Pack: group the remaining work by machine key so compatible specs
-	// share one lockstep kernel run; singletons (including every traced
-	// spec) stay scalar.
+	// share one lockstep kernel run.
 	groups := packGroups(specs, toRun)
 
-	// finish records one simulated spec: fill and publish the claimed
-	// entry (or evict it on error so a later identical spec retries),
-	// persist to disk, and account the miss.
+	// finish is the one place a simulated spec's outcome lands: it
+	// counts the miss, publishes the claimed entry (or evicts it on
+	// error so a later identical spec retries), and persists a success.
+	// A traced spec owns no entry; its success is published only into a
+	// vacant memory slot, because displacing a live entry would strand
+	// that entry's waiters (and a later eviction would lose its result).
 	finish := func(i int, res sim.Result, err error) {
 		en := owned[i]
-		if err != nil {
-			if en != nil {
-				e.mu.Lock()
-				e.misses++
-				if e.entries[keys[i]] == en {
-					delete(e.entries, keys[i])
-				}
-				e.mu.Unlock()
-				en.err = err
-				close(en.done)
+		e.mu.Lock()
+		e.misses++
+		switch {
+		case err != nil && en != nil && e.entries[keys[i]] == en:
+			delete(e.entries, keys[i])
+		case err == nil && en == nil:
+			if _, exists := e.entries[keys[i]]; !exists {
+				done := make(chan struct{})
+				close(done)
+				e.entries[keys[i]] = &entry{done: done, res: res}
 			}
-			fail(i, err)
-			return
+		}
+		e.mu.Unlock()
+		if err == nil && e.disk != nil && e.disk.store(keys[i], res) {
+			e.mu.Lock()
+			e.diskWrites++
+			e.mu.Unlock()
 		}
 		if en != nil {
-			e.mu.Lock()
-			e.misses++
-			e.mu.Unlock()
-			en.res = res
-			if e.disk != nil {
-				if e.disk.store(keys[i], res) {
-					e.mu.Lock()
-					e.diskWrites++
-					e.mu.Unlock()
-				}
-			}
+			en.res, en.err = res, err
 			close(en.done)
+		}
+		if err != nil {
+			fail(i, err)
+			return
 		}
 		succeed(i, res)
 	}
 
-	runItem := func(g laneGroup) {
-		if len(g.indices) == 1 && !e.cacheOff {
-			if i := g.indices[0]; owned[i] == nil {
-				// A traced spec: the scalar path keeps its
-				// always-simulate, publish-on-success semantics. The
-				// worker already holds a slot, so run must not acquire
-				// a second one.
-				res, err := e.run(ctx, specs[i], false)
-				if err != nil {
-					fail(i, err)
-				} else {
-					succeed(i, res)
+	// A fixed pool of min(groups, parallelism) workers — the calling
+	// goroutine plus the rest — pulls group indices off a shared
+	// counter, so a 100k-point grid costs a handful of goroutines rather
+	// than one per point, and a one-group batch runs on the caller
+	// alone. The engine-wide slots channel still bounds total
+	// concurrency when several batches share the engine; a multi-lane
+	// group occupies one slot, like the single simulation its machine
+	// steps. Every group index reaches exactly one worker, which
+	// resolves each of its claimed entries (after a cancellation,
+	// cheaply, with the context's error), so waiters on other batches
+	// cannot hang.
+	var next atomic.Int64
+	work := func() {
+		for {
+			gi := int(next.Add(1) - 1)
+			if gi >= len(groups) {
+				return
+			}
+			if ctx.Err() != nil || !e.acquireSlot(ctx) {
+				for _, i := range groups[gi].indices {
+					finish(i, sim.Result{}, ctx.Err())
 				}
-				return
+				continue
 			}
+			runGroup(ctx, specs, groups[gi], finish, e.addKernelStats)
+			e.releaseSlot()
 		}
-		runGroup(ctx, specs, g, finish, e.addKernelStats)
 	}
-
-	// A fixed pool of min(groups, parallelism) workers pulls group
-	// indices from a channel, so a 100k-point grid costs a handful of
-	// goroutines rather than one per point. The engine-wide slots
-	// channel still bounds total concurrency when several batches share
-	// the engine; a multi-lane group occupies one slot, like the single
-	// simulation its machine steps.
-	idx := make(chan int)
-	go func() {
-		defer close(idx)
-		for gi := range groups {
-			select {
-			case idx <- gi:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
 	var wg sync.WaitGroup
-	for w := 0; w < min(len(groups), e.parallelism); w++ {
+	for w := 1; w < min(len(groups), e.parallelism); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for gi := range idx {
-				if !e.acquireSlot(ctx) {
-					// Drain cheaply after cancellation, still
-					// resolving every claimed entry so waiters on
-					// other batches cannot hang.
-					for _, i := range groups[gi].indices {
-						finish(i, sim.Result{}, ctx.Err())
-					}
-					continue
-				}
-				runItem(groups[gi])
-				e.releaseSlot()
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
-
-	// A cancellation can stop the feeder before every group reaches a
-	// worker, leaving those groups' claimed entries unresolved — which
-	// would hang identical specs in other batches forever (they wait on
-	// this batch's done channels). Resolve the stragglers here; after
-	// wg.Wait no worker touches these entries, so the non-blocking probe
-	// is race-free.
-	for i, en := range owned {
-		select {
-		case <-en.done:
-		default:
-			err := ctx.Err()
-			if err == nil {
-				// Unreachable if the feeder and workers covered every
-				// group; guard so a future bug surfaces as an error
-				// rather than a published zero result.
-				err = errors.New("claimed entry left unresolved")
-			}
-			finish(i, sim.Result{}, err)
-		}
-	}
 
 	// Resolve waiters last: every entry this batch claimed has been
 	// closed above, so a cross-batch wait cycle cannot deadlock.
@@ -670,16 +474,12 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string,
 		select {
 		case <-w.en.done:
 			if w.en.err != nil {
-				mu.Lock()
 				errs[w.i] = w.en.err
-				mu.Unlock()
 			} else {
 				succeed(w.i, w.en.res)
 			}
 		case <-ctx.Done():
-			mu.Lock()
 			errs[w.i] = ctx.Err()
-			mu.Unlock()
 		}
 	}
 
@@ -694,13 +494,13 @@ func (e *Engine) runBatch(parent context.Context, specs []Spec, labels []string,
 			canceled = err
 			continue
 		}
-		return nil, fmt.Errorf("engine: %s: %w", labels[i], err)
+		return nil, i, err
 	}
 	if err := parent.Err(); err != nil {
-		return nil, err
+		return nil, -1, err
 	}
 	if canceled != nil {
-		return nil, canceled
+		return nil, -1, canceled
 	}
-	return results, nil
+	return results, -1, nil
 }

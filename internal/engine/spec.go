@@ -22,6 +22,7 @@ import (
 	"repro/internal/baselines/wavelet"
 	"repro/internal/circuit"
 	"repro/internal/cpu"
+	"repro/internal/engine/batchkernel"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/tuning"
@@ -320,33 +321,52 @@ func (n *Spec) validateBuild(desc *Descriptor) error {
 // calling goroutine, bypassing any cache. It is the single construction
 // path for every driver in the repo: the spec's technique descriptor
 // (see registry.go) validates the resolved configuration and constructs
-// the adapter.
+// the adapter, and the run is a one-lane batchkernel.Run — the loop the
+// engine runs every spec through. A panic in the simulation comes back
+// as an error.
 func Execute(spec Spec) (sim.Result, error) {
 	return Inspect(spec, nil)
 }
 
 // Inspect runs spec exactly as Execute does — uncached, on the calling
 // goroutine — and, when inspect is non-nil, hands it the finished
-// simulator before returning the result. It serves views that need the
-// machine or technique instance rather than the Result alone (energy
-// breakdowns, per-domain statistics) without a construction path of
-// their own.
-func Inspect(spec Spec, inspect func(*sim.Simulator)) (sim.Result, error) {
-	res, _, err := executeMeasured(spec, inspect)
-	return res, err
+// machine and technique (nil for the base machine) before returning the
+// result. It serves views that need the machine or technique instance
+// rather than the Result alone (energy breakdowns, per-domain
+// statistics) without a construction path of their own.
+func Inspect(spec Spec, inspect func(*sim.Machine, sim.Technique)) (sim.Result, error) {
+	p, err := prepare(spec)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	var m *sim.Machine
+	out, _, err := runLanes(p, []batchkernel.Lane{p.lane}, func(b *sim.Machine) { m = b })
+	if err != nil {
+		return sim.Result{}, err
+	}
+	if out[0].Status != batchkernel.Finished {
+		return sim.Result{}, out[0].Err
+	}
+	if inspect != nil {
+		inspect(m, p.lane.Tech)
+	}
+	return out[0].Result, nil
 }
 
-// prepared is a spec resolved down to what its simulation is built from.
+// prepared is a spec resolved down to what its simulation is built from:
+// the machine's description and the spec's kernel lane.
 type prepared struct {
 	n      Spec // normalized
 	params workload.Params
-	tech   sim.Technique
-	hooks  TraceHooks
+	lane   batchkernel.Lane
 }
 
 // prepare normalizes and validates spec and constructs its technique;
-// Execute and the batch path's lanes both start here.
-func prepare(spec Spec) (prepared, error) {
+// Execute and the batch path's lanes both start here. A technique
+// constructor that panics on a configuration validation let through
+// fails the spec with an error.
+func prepare(spec Spec) (_ prepared, err error) {
+	defer recoverPanic(&err)
 	n, desc, err := spec.normalized()
 	if err != nil {
 		return prepared{}, err
@@ -359,7 +379,10 @@ func prepare(spec Spec) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	return prepared{n: n, params: params, tech: tech, hooks: hooks}, nil
+	// The lane's Result label defaults to tech.Name(), or "base"
+	// (TechniqueNone) for the base machine.
+	lane := batchkernel.Lane{Tech: tech, Trace: spec.Trace, EventCount: hooks.EventCount, Level: hooks.Level}
+	return prepared{n: n, params: params, lane: lane}, nil
 }
 
 // source returns the instruction stream from the shared trace store: the
@@ -368,35 +391,6 @@ func prepare(spec Spec) (prepared, error) {
 // the store's budget fall back to a live Generator).
 func (p *prepared) source() cpu.Source {
 	return workload.SharedTraces().Source(p.params, p.n.Instructions)
-}
-
-// techName labels a run's Result with its technique.
-func (p *prepared) techName() string {
-	if p.tech == nil {
-		return string(TechniqueNone)
-	}
-	return p.tech.Name()
-}
-
-// executeMeasured is Inspect plus the run's power-memoization counters,
-// which the engine aggregates into its CacheStats.
-func executeMeasured(spec Spec, inspect func(*sim.Simulator)) (sim.Result, power.MemoStats, error) {
-	p, err := prepare(spec)
-	if err != nil {
-		return sim.Result{}, power.MemoStats{}, err
-	}
-	s, err := sim.New(*p.n.System, p.source(), p.tech)
-	if err != nil {
-		return sim.Result{}, power.MemoStats{}, err
-	}
-	if spec.Trace != nil {
-		s.SetTrace(spec.Trace, p.hooks.EventCount, p.hooks.Level)
-	}
-	res := s.Run(p.n.App, p.techName())
-	if inspect != nil {
-		inspect(s)
-	}
-	return res, s.Power().MemoStats(), nil
 }
 
 // buildTechnique validates a normalized spec's system and technique

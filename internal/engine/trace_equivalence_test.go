@@ -41,9 +41,11 @@ func TestTraceSourceActivityEquivalence(t *testing.T) {
 	}
 }
 
-// execWithGenerator mirrors Execute's construction path but feeds the
-// simulation from a live Generator instead of the trace store — the
-// pre-trace reference implementation.
+// execWithGenerator mirrors Execute's construction path but runs the
+// frozen scalar loop (sim.Simulator) fed by a live Generator instead of
+// a kernel lane fed by the trace store — the pre-trace, pre-kernel
+// reference implementation. The technique and its trace hooks come from
+// BuildTechnique, so every registered kind has a reference.
 func execWithGenerator(t *testing.T, spec Spec) (sim.Result, []sim.TracePoint) {
 	t.Helper()
 	var points []sim.TracePoint
@@ -62,18 +64,15 @@ func execWithGenerator(t *testing.T, spec Spec) (sim.Result, []sim.TracePoint) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tech sim.Technique
-	var countFn, levelFn func() int
-	if n.Technique == TechniqueTuning {
-		rt := sim.NewResonanceTuning(*n.Tuning)
-		tech = rt
-		countFn, levelFn = rt.EventCount, rt.Level
+	tech, hooks, err := BuildTechnique(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	s, err := sim.New(*n.System, workload.NewGenerator(app.Params, n.Instructions), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetTrace(spec.Trace, countFn, levelFn)
+	s.SetTrace(spec.Trace, hooks.EventCount, hooks.Level)
 	name := string(TechniqueNone)
 	if tech != nil {
 		name = tech.Name()
@@ -81,14 +80,14 @@ func execWithGenerator(t *testing.T, spec Spec) (sim.Result, []sim.TracePoint) {
 	return s.Run(n.App, name), points
 }
 
-// TestExecuteTraceEquivalence: Execute (which replays through the trace
-// store) returns the bit-identical Result — and the bit-identical
-// per-cycle waveform — of a simulation fed by the live Generator, for
-// every Table 2 application under both the base machine and resonance
-// tuning.
+// TestExecuteTraceEquivalence: Execute (a one-lane kernel run replaying
+// through the trace store) returns the bit-identical Result — and the
+// bit-identical per-cycle waveform, technique columns included — of the
+// scalar loop fed by the live Generator, for every Table 2 application
+// under every registered technique kind.
 func TestExecuteTraceEquivalence(t *testing.T) {
 	const insts = 10_000
-	for _, kind := range []TechniqueKind{TechniqueNone, TechniqueTuning} {
+	for _, kind := range Kinds() {
 		for _, app := range workload.Apps() {
 			app, kind := app, kind
 			t.Run(string(kind)+"/"+app.Params.Name, func(t *testing.T) {

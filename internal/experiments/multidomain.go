@@ -228,9 +228,9 @@ func MultiDomain(opts Options) (Report, error) {
 func domainDetail(spec engine.Spec) ([]sim.DomainStat, []tuning.Stats, error) {
 	var dom []sim.DomainStat
 	var ctrl []tuning.Stats
-	_, err := engine.Inspect(spec, func(s *sim.Simulator) {
-		dom = s.Machine().DomainStats()
-		if t, ok := s.Technique().(*sim.PerDomainTuning); ok {
+	_, err := engine.Inspect(spec, func(m *sim.Machine, tech sim.Technique) {
+		dom = m.DomainStats()
+		if t, ok := tech.(*sim.PerDomainTuning); ok {
 			ctrl = t.DomainStats()
 		}
 	})

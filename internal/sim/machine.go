@@ -177,8 +177,8 @@ func (m *Machine) buildNetwork() error {
 // the kernel differential harness pin the contract.
 //
 // Fork fails when the instruction source cannot be forked (a source not
-// implementing cpu.ForkableSource); callers fall back to a scalar
-// re-run in that case.
+// implementing cpu.ForkableSource); callers fall back to re-running
+// the diverging lane from cycle zero in that case.
 func (m *Machine) Fork() (*Machine, error) {
 	core, err := m.core.Fork()
 	if err != nil {

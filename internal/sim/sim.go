@@ -251,9 +251,12 @@ type TracePoint struct {
 
 // Simulator runs one application under one technique: a Machine plus
 // the technique control loop (tech.Next → Machine.Step → tech.Observe)
-// and optional per-cycle tracing. The batch kernel in
-// internal/engine/batchkernel drives Machines directly; the scalar path
-// here is the differential reference it is pinned against.
+// and optional per-cycle tracing. It is the frozen differential
+// reference: every engine run goes through the batch kernel in
+// internal/engine/batchkernel, which drives Machines directly and is
+// pinned against this loop. Outside tests and benchmarks only
+// resonance.ReplayWorkload, which replays a recorded instruction stream
+// without going through the engine, still runs it.
 type Simulator struct {
 	m    *Machine
 	tech Technique
@@ -273,19 +276,8 @@ func New(cfg Config, src cpu.Source, tech Technique) (*Simulator, error) {
 	return &Simulator{m: m, tech: tech}, nil
 }
 
-// Power exposes the power model (for technique setup needing PhantomFire
-// or mid-level amps).
-func (s *Simulator) Power() *power.Model { return s.m.Power() }
-
-// Core exposes the pipeline model.
-func (s *Simulator) Core() *cpu.Core { return s.m.Core() }
-
 // Machine exposes the technique-independent simulated system.
 func (s *Simulator) Machine() *Machine { return s.m }
-
-// Technique returns the control scheme driving the machine (nil for the
-// base processor).
-func (s *Simulator) Technique() Technique { return s.tech }
 
 // SetTrace installs a per-cycle trace callback, plus optional functions
 // reporting the technique's resonant event count and response level.

@@ -173,8 +173,8 @@ func NewEngine(parallelism int) *Engine {
 
 // EngineOptions configures an Engine beyond its parallelism: a
 // DiskCacheDir adds the persistent result-cache tier (one JSON file per
-// spec content address, shared across processes), and DisableCache turns
-// memoization off entirely.
+// spec content address, shared across processes), and DiskCacheGC sweeps
+// that directory's unservable files at construction.
 type EngineOptions = engine.Options
 
 // EngineCacheStats is an engine's tier-labelled cache traffic (memory
@@ -380,7 +380,7 @@ type EnergyShare struct {
 // out the few cycles of unit energy still spreading when the run ended.
 func EnergyBreakdown(spec SimulationSpec) ([]EnergyShare, error) {
 	var unitJ [power.NumUnits]float64
-	res, err := engine.Inspect(spec, func(s *sim.Simulator) { _, unitJ = s.Power().Breakdown() })
+	res, err := engine.Inspect(spec, func(m *sim.Machine, _ sim.Technique) { _, unitJ = m.Power().Breakdown() })
 	if err != nil {
 		return nil, err
 	}
